@@ -6,6 +6,16 @@ import (
 	"ccolor/internal/fabric"
 )
 
+// stageMsgs adapts a per-worker []Msg producer to a Fabric.Round staging
+// callback, so tests can spell out a round's traffic as message literals.
+func stageMsgs(produce func(w int) []fabric.Msg) func(w int, sb *fabric.SendBuf) {
+	return func(w int, sb *fabric.SendBuf) {
+		for _, m := range produce(w) {
+			sb.Put(m.To, m.Words...)
+		}
+	}
+}
+
 // refRound is the pre-flat-buffer delivery semantics, kept as a reference
 // oracle for the differential test below.
 func refRound(n, msgWords int, produce func(w int) []fabric.Msg) ([][]fabric.Msg, int64, error) {
@@ -60,7 +70,7 @@ func TestRoundMatchesReference(t *testing.T) {
 		want, wantWords, refErr := refRound(n, DefaultMsgWords, produce)
 
 		nw := New(n, WithParallelism(1))
-		got, err := nw.Round(produce)
+		got, err := nw.Round(stageMsgs(produce))
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("trial %d: err=%v refErr=%v", trial, err, refErr)
 		}

@@ -34,10 +34,7 @@ type Network struct {
 	live *fabric.RoundBuffer
 }
 
-var (
-	_ fabric.Fabric      = (*Network)(nil)
-	_ fabric.FrameFabric = (*Network)(nil)
-)
+var _ fabric.Fabric = (*Network)(nil)
 
 // Option configures a Network.
 type Option func(*Network)
@@ -117,22 +114,12 @@ func (e *BandwidthError) Error() string {
 		e.From, e.Words, e.To, e.Budget)
 }
 
-// Round executes one synchronous round. produce runs for every node in a
-// bounded goroutine pool; returned messages are validated (destination in
+// Round executes one synchronous round. stage runs for every node in a
+// bounded goroutine pool; the staged frames are validated (destination in
 // range, per-ordered-pair total ≤ MsgWords) and delivered sorted by sender.
 // Inboxes are zero-copy views into pooled arenas, valid until the next
 // round on this network.
-func (nw *Network) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
-	return nw.FrameRound(func(w int, sb *fabric.SendBuf) {
-		for _, m := range produce(w) {
-			sb.Put(m.To, m.Words...)
-		}
-	})
-}
-
-// FrameRound executes one synchronous round staged directly as flat frames
-// (fabric.FrameFabric), avoiding per-message allocation entirely.
-func (nw *Network) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
+func (nw *Network) Round(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
 	if nw.live != nil {
 		fabric.ReleaseRoundBuffer(nw.live)
 		nw.live = nil

@@ -9,13 +9,13 @@ import (
 
 func TestRoundDeliversSorted(t *testing.T) {
 	nw := New(4)
-	in, err := nw.Round(func(w int) []fabric.Msg {
+	in, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 		// Everyone sends their ID to worker 0.
 		if w == 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 0, Words: []uint64{uint64(w)}}}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,12 +31,12 @@ func TestRoundDeliversSorted(t *testing.T) {
 
 func TestBandwidthEnforced(t *testing.T) {
 	nw := New(3, WithMsgWords(2))
-	_, err := nw.Round(func(w int) []fabric.Msg {
+	_, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 1, Words: []uint64{1, 2, 3}}} // 3 > 2 words
-	})
+	}))
 	var be *BandwidthError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected BandwidthError, got %v", err)
@@ -49,7 +49,7 @@ func TestBandwidthEnforced(t *testing.T) {
 func TestBandwidthAcrossMessages(t *testing.T) {
 	// Two messages to the same destination share the per-pair budget.
 	nw := New(3, WithMsgWords(2))
-	_, err := nw.Round(func(w int) []fabric.Msg {
+	_, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
@@ -57,7 +57,7 @@ func TestBandwidthAcrossMessages(t *testing.T) {
 			{To: 1, Words: []uint64{1, 2}},
 			{To: 1, Words: []uint64{3}},
 		}
-	})
+	}))
 	if err == nil {
 		t.Fatal("per-pair budget not enforced across messages")
 	}
@@ -65,9 +65,9 @@ func TestBandwidthAcrossMessages(t *testing.T) {
 
 func TestOutOfRangeDestination(t *testing.T) {
 	nw := New(2)
-	if _, err := nw.Round(func(w int) []fabric.Msg {
+	if _, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 		return []fabric.Msg{{To: 5, Words: []uint64{1}}}
-	}); err == nil {
+	})); err == nil {
 		t.Fatal("out-of-range destination accepted")
 	}
 }
@@ -75,9 +75,9 @@ func TestOutOfRangeDestination(t *testing.T) {
 func TestLedgerCounts(t *testing.T) {
 	nw := New(4)
 	for r := 0; r < 3; r++ {
-		if _, err := nw.Round(func(w int) []fabric.Msg {
+		if _, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 			return []fabric.Msg{{To: (w + 1) % 4, Words: []uint64{uint64(w)}}}
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,11 +105,11 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 	}
 	serial := New(16, WithParallelism(1))
 	parallel := New(16, WithParallelism(8))
-	a, err := serial.Round(produce)
+	a, err := serial.Round(stageMsgs(produce))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.Round(produce)
+	b, err := parallel.Round(stageMsgs(produce))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +131,12 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 func TestResetRecyclesNetwork(t *testing.T) {
 	nw := New(4, WithMsgWords(2), WithParallelism(1))
 	run := func(n int) (rounds int, words int64, inboxes int) {
-		in, err := nw.Round(func(w int) []fabric.Msg {
+		in, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 			if w == 0 {
 				return []fabric.Msg{{To: n - 1, Words: []uint64{uint64(n)}}}
 			}
 			return nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,12 +167,12 @@ func TestResetRecyclesNetwork(t *testing.T) {
 	// Shrink below the original size: destinations beyond the new n must be
 	// rejected, proving the old width is gone.
 	nw.Reset(2)
-	if _, err := nw.Round(func(w int) []fabric.Msg {
+	if _, err := nw.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w == 0 {
 			return []fabric.Msg{{To: 5, Words: []uint64{1}}}
 		}
 		return nil
-	}); err == nil {
+	})); err == nil {
 		t.Fatal("send to node 5 succeeded on a 2-node reset network")
 	}
 	nw.Release()

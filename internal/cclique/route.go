@@ -124,7 +124,7 @@ func RouteAll(nw *Network, units []UnitMsg) ([][]UnitMsg, error) {
 		toStart[v+1] += toStart[v]
 	}
 	nw.Ledger().SetPhase("route:offsets")
-	if _, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+	if _, err := nw.Round(func(w int, sb *fabric.SendBuf) {
 		for _, pi := range pairsByFrom[fromStart[w]:fromStart[w+1]] {
 			p := pairs[pi]
 			if p.to != w {
@@ -134,7 +134,7 @@ func RouteAll(nw *Network, units []UnitMsg) ([][]UnitMsg, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if _, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+	if _, err := nw.Round(func(w int, sb *fabric.SendBuf) {
 		// Each target w replies to its senders with their block offsets.
 		for _, p := range pairs[toStart[w]:toStart[w+1]] {
 			if p.from != w {
@@ -209,7 +209,7 @@ func RouteAll(nw *Network, units []UnitMsg) ([][]UnitMsg, error) {
 	nw.Ledger().SetPhase("route:spread")
 	for s := 0; s <= maxSub; s++ {
 		seg := perm[subStart[s]:subStart[s+1]]
-		in, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+		in, err := nw.Round(func(w int, sb *fabric.SendBuf) {
 			lo, _ := slices.BinarySearchFunc(seg, int32(w), func(i int32, want int32) int {
 				return units[i].From - int(want)
 			})
@@ -259,7 +259,7 @@ func RouteAll(nw *Network, units []UnitMsg) ([][]UnitMsg, error) {
 		if !any {
 			break
 		}
-		in, err := nw.FrameRound(func(w int, sb *fabric.SendBuf) {
+		in, err := nw.Round(func(w int, sb *fabric.SendBuf) {
 			lastTo := -1
 			for _, r := range held[w] {
 				if r.to == lastTo {

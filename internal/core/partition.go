@@ -250,7 +250,7 @@ func (s *solver) partition(x *call) error {
 	for _, v := range g0Nodes {
 		badSet[v] = struct{}{}
 	}
-	if _, err := fabric.RoundFrames(s.fab, func(wk int, sb *fabric.SendBuf) {
+	if _, err := s.fab.Round(func(wk int, sb *fabric.SendBuf) {
 		v := int32(wk)
 		if s.callOf[v] != int32(x.id) || s.color[v] != graph.NoColor {
 			return

@@ -23,22 +23,22 @@ type Msg struct {
 
 // Fabric is a synchronous message-passing substrate with w workers.
 //
-// Round executes one synchronous round: produce is invoked (possibly
-// concurrently) for every worker and returns that worker's outgoing
-// messages; the fabric validates them against the model's limits and
-// returns per-worker inboxes, sorted by sender. Implementations must charge
-// exactly one round per Round call.
+// Round executes one synchronous round: stage is invoked (possibly
+// concurrently) once per worker to write that worker's outgoing frames into
+// its SendBuf; the fabric validates them against the model's limits and
+// returns per-worker inboxes, sorted by sender, then by payload.
+// Implementations must charge exactly one round per Round call.
 //
-// Lifetime contract: the returned inboxes (including every Msg.Words) may
-// alias pooled arenas and are only valid until the next Round/FrameRound
-// call on the same fabric. Callers that need message data across rounds
-// must copy it out before issuing the next round.
+// Lifetime contract: the returned inboxes (including every Msg.Words) alias
+// pooled arenas and are only valid until the next Round call on the same
+// fabric. Callers that need message data across rounds must copy it out
+// before issuing the next round.
 type Fabric interface {
 	// Workers returns the number of computational entities (nodes in the
 	// congested clique, machines in MPC).
 	Workers() int
 	// Round runs one synchronous communication round.
-	Round(produce func(w int) []Msg) ([][]Msg, error)
+	Round(stage func(w int, sb *SendBuf)) ([][]Msg, error)
 	// Ledger returns the round/traffic accounting for this fabric.
 	Ledger() *Ledger
 }
@@ -230,8 +230,9 @@ func (l *Ledger) String() string {
 	return s
 }
 
-// SortInbox orders messages by sender then payload for deterministic
-// processing; fabrics call it before delivery.
+// SortInbox orders messages by sender then payload: the inbox order every
+// Fabric round delivers. RoundBuffer.Deliver produces it by construction;
+// SortInbox is the reference it is tested against.
 func SortInbox(in []Msg) {
 	sort.Slice(in, func(i, j int) bool {
 		if in[i].From != in[j].From {

@@ -11,10 +11,8 @@ import (
 // words between any ordered worker pair per round. MPC fabrics enforce
 // their own (space) limits on top.
 //
-// All primitives stage their traffic as flat frames (RoundFrames), which
-// runs allocation-free on FrameFabric backends and falls back to classic
-// []Msg rounds on any other Fabric; message content, inbox order, and
-// ledger charges are identical on both paths.
+// All primitives stage their traffic as flat frames through Fabric.Round,
+// which runs without per-message allocation.
 //
 // The multi-target gather below is the restricted routing pattern the
 // coloring algorithm needs (per-sender blocks of ≤ O(𝔫) words, per-target
@@ -90,7 +88,7 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 	}
 	if len(words) <= pairWords {
 		_, reps := groupReps(f)
-		_, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		_, err := f.Round(func(w int, sb *SendBuf) {
 			if w != src {
 				return
 			}
@@ -115,7 +113,7 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 		}
 		chunks[i/pairWords] = words[i:end]
 	}
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if _, err := f.Round(func(w int, sb *SendBuf) {
 		if w != src {
 			return
 		}
@@ -129,7 +127,7 @@ func Broadcast(f Fabric, pairWords int, src int, words []uint64) error {
 		return err
 	}
 	// Round 2: every chunk holder sends its chunk to everyone.
-	_, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	_, err := f.Round(func(w int, sb *SendBuf) {
 		ch := chunks[w]
 		if len(ch) == 0 {
 			return
@@ -229,7 +227,7 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 	if owners > vlen {
 		owners = vlen
 	}
-	in, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	in, err := f.Round(func(w int, sb *SendBuf) {
 		vals := local(w)
 		if len(vals) != vlen {
 			panic(fmt.Sprintf("fabric: local vector length %d != %d", len(vals), vlen))
@@ -266,7 +264,7 @@ func (ws *VecScratch) AggregateVec(f Fabric, pairWords int, vlen int, local func
 		}
 	}
 	// Round 2: each owner broadcasts its summed elements to all workers.
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if _, err := f.Round(func(w int, sb *SendBuf) {
 		k := slots(w)
 		if w >= r || k == 0 {
 			return
@@ -297,7 +295,7 @@ func broadcastTree(f Fabric, src int, words []uint64) error {
 	// (skipped when src is the root).
 	root := reps[0]
 	if src != root {
-		if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		if _, err := f.Round(func(w int, sb *SendBuf) {
 			if w != src {
 				return
 			}
@@ -310,7 +308,7 @@ func broadcastTree(f Fabric, src int, words []uint64) error {
 	// with index < branch^k.
 	have := map[int]bool{root: true}
 	for reach := 1; reach < len(reps); reach *= branch {
-		if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		if _, err := f.Round(func(w int, sb *SendBuf) {
 			if !have[w] {
 				return
 			}
@@ -355,9 +353,9 @@ func branchFactor(f Fabric, vlen int) int {
 // slot, members ascending within each group — the exact iteration order the
 // old map-based path produced.
 func (ws *VecScratch) groupTables(n int, g Grouped) {
-	ws.gdense = growInt32(ws.gdense, maxGroupID(n, g)+1)
+	ws.gdense = grow(ws.gdense, maxGroupID(n, g)+1)
 	clear(ws.gdense)
-	ws.slot = growInt32(ws.slot, n)
+	ws.slot = grow(ws.slot, n)
 	reps := ws.reps[:0]
 	for w := 0; w < n; w++ {
 		if ws.gdense[g.GroupOf(w)] == 0 {
@@ -368,7 +366,7 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 	}
 	ws.reps = reps
 	r := len(reps)
-	ws.moff = growInt32(ws.moff, r+1)
+	ws.moff = grow(ws.moff, r+1)
 	clear(ws.moff)
 	for w := 0; w < n; w++ {
 		ws.moff[ws.gdense[g.GroupOf(w)]]++ // slot+1: counts land past the offset
@@ -376,9 +374,9 @@ func (ws *VecScratch) groupTables(n int, g Grouped) {
 	for s := 0; s < r; s++ {
 		ws.moff[s+1] += ws.moff[s]
 	}
-	ws.mcur = growInt32(ws.mcur, r)
+	ws.mcur = grow(ws.mcur, r)
 	copy(ws.mcur, ws.moff[:r])
-	ws.members = growInt32(ws.members, n)
+	ws.members = grow(ws.members, n)
 	for w := 0; w < n; w++ {
 		s := ws.gdense[g.GroupOf(w)] - 1
 		ws.members[ws.mcur[s]] = int32(w)
@@ -395,7 +393,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 	reps := ws.reps
 	r := len(reps)
 	branch := branchFactor(f, vlen)
-	ws.acc = growInt64(ws.acc, r*vlen)
+	ws.acc = grow(ws.acc, r*vlen)
 	for s := 0; s < r; s++ {
 		dst := ws.acc[s*vlen : (s+1)*vlen]
 		clear(dst)
@@ -412,8 +410,8 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 	// reduction O(workers·reps) per level, a dominant term at large n.
 	ws.levels = append(ws.levels[:0], reps...)
 	ws.loff = append(ws.loff[:0], 0, int32(len(ws.levels)))
-	ws.sendTo = growInt32(ws.sendTo, f.Workers())
-	ws.blockAt = growInt32(ws.blockAt, f.Workers())
+	ws.sendTo = grow(ws.sendTo, f.Workers())
+	ws.blockAt = grow(ws.blockAt, f.Workers())
 	for {
 		lv := len(ws.loff) - 2
 		cur := ws.levels[ws.loff[lv]:ws.loff[lv+1]]
@@ -429,7 +427,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 				ws.sendTo[cur[j]] = int32(cur[i]) + 1
 			}
 		}
-		in, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		in, err := f.Round(func(w int, sb *SendBuf) {
 			// Block members (non-leaders) send their accumulator to the
 			// block leader.
 			if t := ws.sendTo[w]; t != 0 {
@@ -466,7 +464,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 	// Distribute down: leaders push the final vector to their blocks.
 	root := ws.levels[len(ws.levels)-1]
 	result := append([]int64(nil), accOf(root)...)
-	ws.have = growBool(ws.have, f.Workers())
+	ws.have = grow(ws.have, f.Workers())
 	clear(ws.have)
 	ws.have[root] = true
 	for li := len(ws.loff) - 3; li >= 0; li-- {
@@ -474,7 +472,7 @@ func (ws *VecScratch) aggregateTree(f Fabric, vlen int, combineInto func(slot in
 		for i := 0; i < len(cur); i += branch {
 			ws.blockAt[cur[i]] = int32(i) + 1
 		}
-		_, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		_, err := f.Round(func(w int, sb *SendBuf) {
 			if !ws.have[w] {
 				return
 			}
@@ -549,7 +547,7 @@ func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (m
 	// Rounds 1-2: worker 0 assigns each sender a rank offset within its
 	// target's gather space. Each sender reports (target, count) — 2 words;
 	// worker 0 replies with the offset — 1 word.
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if _, err := f.Round(func(w int, sb *SendBuf) {
 		if targets[w] < 0 || len(blocks[w]) == 0 || w == 0 {
 			return
 		}
@@ -566,7 +564,7 @@ func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (m
 		offsets[w] = totals[targets[w]]
 		totals[targets[w]] += len(blocks[w])
 	}
-	if _, err := RoundFrames(f, func(w int, sb *SendBuf) {
+	if _, err := f.Round(func(w int, sb *SendBuf) {
 		if w != 0 {
 			return
 		}
@@ -621,7 +619,7 @@ func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (m
 	}
 	subRounds := (maxBlock + n - 1) / n
 	for s := 0; s < subRounds; s++ {
-		in, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		in, err := f.Round(func(w int, sb *SendBuf) {
 			if targets[w] < 0 {
 				return
 			}
@@ -685,7 +683,7 @@ func GatherMany(f Fabric, pairWords int, payload func(w int) (int, []uint64)) (m
 		if !anyLeft {
 			break
 		}
-		in, err := RoundFrames(f, func(w int, sb *SendBuf) {
+		in, err := f.Round(func(w int, sb *SendBuf) {
 			i := cursor[w]
 			for i < len(held[w]) {
 				t := held[w][i].target

@@ -10,18 +10,19 @@ import (
 // slice) per message per round, a round's outgoing traffic is staged in
 // per-worker contiguous []uint64 arenas as length-prefixed frames
 //
-//	to, from, nwords, payload...
+//	header, payload...
 //
-// and delivered by a counting sort over destinations. Inbox Msg.Words are
-// zero-copy views into the staging arenas, and the arenas are recycled
-// across rounds through a sync.Pool, so the steady-state round executes
-// with no per-message heap allocation on the fabric side.
+// (one header word: destination and payload length; the sender is whose
+// arena the frame sits in) and delivered by a counting sort over
+// destinations. Inbox Msg.Words are zero-copy views into the staging
+// arenas, and the arenas are recycled across rounds through a sync.Pool, so
+// the steady-state round executes with no per-message heap allocation on
+// the fabric side.
 //
-// Lifetime contract: the inboxes returned by a FrameFabric round (including
-// the classic Round adapter over it) reference pooled arenas and are valid
-// only until the next Round/FrameRound call on the same fabric. Every
-// consumer that needs data across rounds must copy it out — all in-tree
-// callers already do.
+// Lifetime contract: the inboxes a fabric round returns reference pooled
+// arenas and are valid only until the next Round call on the same fabric.
+// Every consumer that needs data across rounds must copy it out — all
+// in-tree callers already do.
 
 // frameHeader is the number of header words per frame. The sender is
 // implied by whose arena a frame sits in, and destination and payload
@@ -40,21 +41,9 @@ func unpackHeader(h uint64) (to, n int) {
 	return int(int32(uint32(h))), int(h >> 32)
 }
 
-// FrameFabric is implemented by fabrics whose rounds can be staged directly
-// as flat frames, bypassing []Msg materialization on the send side. The
-// communication primitives in this package use it when available and fall
-// back to Fabric.Round otherwise; semantics (message content, inbox order,
-// ledger charges) are identical on both paths.
-type FrameFabric interface {
-	Fabric
-	// FrameRound runs one synchronous round: stage is invoked (possibly
-	// concurrently) once per worker to write that worker's outgoing frames.
-	FrameRound(stage func(w int, sb *SendBuf)) ([][]Msg, error)
-}
-
 // SendBuf stages one worker's outgoing frames for one round in a contiguous
-// arena. It is handed to staging callbacks by FrameRound; the zero value is
-// ready for use after reset.
+// arena. It is handed to staging callbacks by Fabric.Round; the zero value
+// is ready for use after reset.
 type SendBuf struct {
 	from int
 	buf  []uint64
@@ -71,8 +60,8 @@ func (sb *SendBuf) reset(from int) {
 // returns the payload slice for the caller to fill in place. The slice
 // must be filled before the next Begin/Put on the same SendBuf: a later
 // reservation may grow the arena and reallocate it, detaching earlier
-// payload slices. Destination validation happens at delivery, in staging
-// order, so the error behavior matches the classic per-message path.
+// payload slices. Destinations are validated at delivery, in staging
+// order, so a round reports its first bad frame however it was staged.
 func (sb *SendBuf) Begin(to, n int) []uint64 {
 	sb.buf = append(sb.buf, packHeader(to, n))
 	l := len(sb.buf)
@@ -105,40 +94,6 @@ func (sb *SendBuf) Reserve(frames, words int) {
 	}
 }
 
-// messages materializes the staged frames as a []Msg — the fallback path
-// for fabrics without native frame support.
-func (sb *SendBuf) messages() []Msg {
-	if sb.nmsg == 0 {
-		return nil
-	}
-	out := make([]Msg, 0, sb.nmsg)
-	for i := 0; i < len(sb.buf); {
-		to, nw := unpackHeader(sb.buf[i])
-		out = append(out, Msg{To: to, Words: sb.buf[i+frameHeader : i+frameHeader+nw]})
-		i += frameHeader + nw
-	}
-	return out
-}
-
-// RoundFrames runs one round staged as flat frames: natively on a
-// FrameFabric, or materialized through Fabric.Round otherwise. Algorithm
-// code can use it in place of Fabric.Round without tying itself to any
-// backend: semantics (message content, inbox order, ledger charges) are
-// identical on both paths.
-func RoundFrames(f Fabric, stage func(w int, sb *SendBuf)) ([][]Msg, error) {
-	if ff, ok := f.(FrameFabric); ok {
-		return ff.FrameRound(stage)
-	}
-	n := f.Workers()
-	bufs := make([]SendBuf, n)
-	return f.Round(func(w int) []Msg {
-		sb := &bufs[w]
-		sb.reset(w)
-		stage(w, sb)
-		return sb.messages()
-	})
-}
-
 // RouteError reports a frame rejected at delivery: an out-of-range
 // destination, or (when a pair budget is enforced) a per-ordered-pair word
 // total exceeding it. Backends translate it into their model-specific error
@@ -162,17 +117,16 @@ type DeliverOpts struct {
 	// PairWords > 0 enforces the congested-clique per-ordered-pair word
 	// budget, checked in staging order.
 	PairWords int
-	// GroupOf maps workers to load-accounting groups (MPC machines); nil
-	// means per-worker accounting with Groups = workers.
+	// GroupOf maps workers to load-accounting groups (MPC machines), and
+	// traffic inside a group is free (MPC's machine-local exchange; it is
+	// still delivered). nil means per-worker accounting with Groups =
+	// workers, where every frame is charged.
 	GroupOf []int
 	Groups  int
-	// FreeIntraGroup leaves intra-group traffic uncharged (MPC's free
-	// machine-local exchange). Delivery still happens.
-	FreeIntraGroup bool
-	// Pool, when non-nil, lets Deliver partition the destination space into
-	// per-worker ranges and run the counting sort concurrently. Inboxes,
-	// stats, and errors are byte-identical to the serial path; rounds staging
-	// fewer than DeliverParallelMinWords stay serial.
+	// Pool, when non-nil, lets Deliver split the destination space into one
+	// range per pool worker and sort the ranges concurrently. Inboxes, stats
+	// and errors do not depend on the range count; rounds staging fewer than
+	// DeliverParallelMinWords run as one range.
 	Pool *WorkPool
 }
 
@@ -201,8 +155,6 @@ type RoundBuffer struct {
 	cnt       []int32 // per destination: frame count, then fill cursor (epoch-stamped)
 	off       []int32 // per destination: msg slab offset (epoch-stamped)
 	destStamp []int64 // per destination: epoch of last touch
-	touched   []int32 // destinations with frames this round
-	prevTouch []int32 // last round's touched list (inbox entries to reset)
 	gStamp    []int64 // per group: epoch of last charged traffic
 	tgroups   []int32 // groups with charged traffic this round
 	epoch     int64
@@ -216,22 +168,27 @@ type RoundBuffer struct {
 	pairStamp []int64
 	stamp     int64
 
-	// Parallel-delivery scratch: per destination-range worker state. Every
-	// shared per-destination array above is written at disjoint indices (each
-	// range owns a contiguous destination interval); everything that cannot
-	// be destination-owned lands here and is merged serially between the two
-	// parallel phases.
-	rangeTouch [][]int32        // per range: touched destinations (sorted)
-	rangeOff   []int            // per range: offset of its touch run in touched
-	rangeNmsg  []int            // per range: frame count
+	// The current delivery's shape, read by the range phases.
+	nr        int   // destination ranges
+	groupOf   []int // DeliverOpts.GroupOf
+	groups    int
+	pairWords int
+	stampBase int64 // sender w stamps pair budgets with stampBase+w+1
+	wide      bool  // locators carry full-width offsets plus locFrom
+
+	// Per-range state. Every shared per-destination array above is written
+	// at disjoint indices (each range owns a contiguous destination
+	// interval); everything that cannot be destination-owned lands here and
+	// is merged serially between the two range phases.
+	rangeTouch [][]int32        // per range: touched destinations (sorted); kept to reset inboxes
 	rangeErr   []deliverErrCand // per range: earliest staging-order violation
 	grpSend    []int64          // grouped mode: per (range, group) charged send words
 	grpRecv    []int64          // grouped mode: per (range, group) charged recv words
 	grpHit     []bool           // grouped mode: per (range, group) any charged frame
 }
 
-// deliverErrCand is one range worker's earliest violation, positioned by
-// (sender, arena index) so the serial staging-order error wins the merge.
+// deliverErrCand is one range's earliest violation, positioned by (sender,
+// arena index) so the merge picks the first violation in staging order.
 type deliverErrCand struct {
 	ok   bool
 	w, i int
@@ -246,15 +203,15 @@ type deliverErrCand struct {
 var locOffsetLimit uint64 = 1 << 32
 
 // DeliverParallelMinWords is the staged-word total below which Deliver
-// ignores DeliverOpts.Pool: waking parked workers and merging per-range
-// state costs more than a small round's counting sort. A var so tests can
-// force the parallel path on tiny deterministic rounds.
+// runs one range and ignores DeliverOpts.Pool: waking parked workers and
+// merging per-range state costs more than a small round's counting sort. A
+// var so tests can force several ranges on tiny deterministic rounds.
 var DeliverParallelMinWords = 1 << 14
 
-// deliverParallelMaxGroups bounds the grouped-accounting parallel path: the
-// per-(range, group) merge slabs are O(ranges·groups), which is only cheap
-// when groups (MPC machines) is far below the worker domain. Beyond it,
-// grouped rounds fall back to serial delivery.
+// deliverParallelMaxGroups bounds grouped rounds that run several ranges:
+// the per-(range, group) merge slabs are O(ranges·groups), which is only
+// cheap when groups (MPC machines) is far below the worker domain. Beyond
+// it, grouped rounds run as one range.
 const deliverParallelMaxGroups = 1 << 13
 
 var roundBufPool = sync.Pool{New: func() any { return new(RoundBuffer) }}
@@ -283,37 +240,43 @@ func ReleaseRoundBuffer(rb *RoundBuffer) { roundBufPool.Put(rb) }
 // Sender returns worker w's staging arena for the current round.
 func (rb *RoundBuffer) Sender(w int) *SendBuf { return &rb.send[w] }
 
-func growInt32(s []int32, n int) []int32 {
+// grow returns s resliced to length n, reallocating (zeroed) only when its
+// capacity falls short; retained entries keep their old values.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
 // Deliver validates and routes the staged frames, returning per-worker
 // inboxes sorted exactly as SortInbox orders them: by sender, then by
-// lexicographic payload. The counting sort over destinations visits senders
-// in ascending order, so only equal-sender runs need payload ordering.
+// lexicographic payload.
 //
-// All per-destination and per-group state is epoch-stamped and driven off
-// lists of the destinations/groups actually touched, so a round's delivery
-// cost scales with its live traffic, not with the full worker domain — at
-// large n most rounds of the recursive solvers touch a small residual set,
-// and the old full-width zero/prefix/scan passes dominated wall clock.
+// The destination space [0,n) splits into nr contiguous ranges, and each
+// range counts, scatters, materializes and tie-break-sorts only the frames
+// addressed into it. Every range walks every sender's arena in ascending
+// order (headers skip payloads, so the rescans stream), which fills each
+// destination in ascending sender, then staging, order; only equal-sender
+// runs then need the payload sort. Nothing a range computes depends on nr,
+// so serial delivery is simply the one-range case, run inline. Deliver
+// runs one range unless opts.Pool is wider than one worker, the round
+// stages at least DeliverParallelMinWords words, and a grouped round has
+// at most deliverParallelMaxGroups groups.
+//
+// Everything per destination (cnt, off, destStamp, pair budgets, ungrouped
+// recvLoad, msgs, inboxes) is written only by the owning range, so the
+// shared arrays need no synchronization beyond the pool's round barrier.
+// What cannot be destination-owned is merged serially between the two
+// range phases: the first staging-order RouteError wins a min-(sender,
+// index) merge, ungrouped send loads fall out of arena sizes (every frame
+// is charged when no traffic is free), and grouped loads sum per-(range,
+// group) partials.
+//
+// Per-destination and per-group state is epoch-stamped and driven off
+// lists of the destinations actually touched, so apart from one length
+// check per sender a round's delivery cost scales with its live traffic,
+// not with the full worker domain.
 func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	n := rb.n
 	groups := opts.Groups
@@ -325,38 +288,26 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 	ep := rb.epoch
 	// Reset the inbox entries the previous round on this buffer populated;
 	// everything else is empty by invariant.
-	for _, d := range rb.prevTouch {
-		rb.inboxes[d] = nil
+	for _, touch := range rb.rangeTouch {
+		for _, d := range touch {
+			rb.inboxes[d] = nil
+		}
 	}
-	rb.prevTouch = rb.prevTouch[:0]
-	rb.touched = rb.touched[:0]
 	rb.tgroups = rb.tgroups[:0]
-	rb.cnt = growInt32(rb.cnt, n)
-	rb.off = growInt32(rb.off, n)
-	rb.destStamp = growInt64(rb.destStamp, n)
-	rb.sendLoad = growInt64(rb.sendLoad, groups)
-	rb.recvLoad = growInt64(rb.recvLoad, groups)
-	rb.gStamp = growInt64(rb.gStamp, groups)
-	if cap(rb.inboxes) < n {
-		grown := make([][]Msg, n)
-		copy(grown, rb.inboxes)
-		rb.inboxes = grown
-	}
+	rb.cnt = grow(rb.cnt, n)
+	rb.off = grow(rb.off, n)
+	rb.destStamp = grow(rb.destStamp, n)
+	rb.sendLoad = grow(rb.sendLoad, groups)
+	rb.recvLoad = grow(rb.recvLoad, groups)
+	rb.gStamp = grow(rb.gStamp, groups)
+	rb.inboxes = grow(rb.inboxes, n) // all nil: last round's entries were just reset
 	if opts.PairWords > 0 {
-		rb.pairCnt = growInt32(rb.pairCnt, n)
+		rb.pairCnt = grow(rb.pairCnt, n)
 		if cap(rb.pairStamp) < n {
 			rb.pairStamp = make([]int64, n)
 			rb.stamp = 0
 		}
 		rb.pairStamp = rb.pairStamp[:n]
-	}
-	chargeGroup := func(g int) {
-		if rb.gStamp[g] != ep {
-			rb.gStamp[g] = ep
-			rb.sendLoad[g] = 0
-			rb.recvLoad[g] = 0
-			rb.tgroups = append(rb.tgroups, int32(g))
-		}
 	}
 
 	staged, maxArena := 0, 0
@@ -367,322 +318,33 @@ func (rb *RoundBuffer) Deliver(opts DeliverOpts) ([][]Msg, RoundStats, error) {
 			maxArena = l
 		}
 	}
-	if opts.Pool != nil && opts.Pool.Workers() > 1 && staged >= DeliverParallelMinWords &&
-		!(opts.FreeIntraGroup && groupOf == nil) &&
+	nr := 1
+	if opts.Pool != nil && staged >= DeliverParallelMinWords &&
 		(groupOf == nil || groups <= deliverParallelMaxGroups) {
-		return rb.deliverParallel(opts, groups, maxArena)
+		nr = min(opts.Pool.Workers(), n)
 	}
-
-	// Pass 1: validate in staging order, count frames per destination, and
-	// charge group loads.
-	var total int64
-	nmsg := 0
-	for w := 0; w < n; w++ {
-		buf := rb.send[w].buf
-		if len(buf) == 0 {
-			continue
-		}
-		rb.stamp++
-		gw := w
-		if groupOf != nil {
-			gw = groupOf[w]
-		}
-		for i := 0; i < len(buf); {
-			to, nw := unpackHeader(buf[i])
-			if to < 0 || to >= n {
-				return nil, RoundStats{}, &RouteError{OutOfRange: true, From: w, To: to}
-			}
-			if opts.PairWords > 0 {
-				if rb.pairStamp[to] != rb.stamp {
-					rb.pairStamp[to] = rb.stamp
-					rb.pairCnt[to] = 0
-				}
-				rb.pairCnt[to] += int32(nw)
-				if int(rb.pairCnt[to]) > opts.PairWords {
-					return nil, RoundStats{}, &RouteError{
-						From: w, To: to, Words: int(rb.pairCnt[to]), Budget: opts.PairWords,
-					}
-				}
-			}
-			if rb.destStamp[to] != ep {
-				rb.destStamp[to] = ep
-				rb.cnt[to] = 0
-				rb.touched = append(rb.touched, int32(to))
-			}
-			rb.cnt[to]++
-			nmsg++
-			gt := to
-			if groupOf != nil {
-				gt = groupOf[to]
-			}
-			if !opts.FreeIntraGroup || gt != gw {
-				words := int64(nw)
-				chargeGroup(gw)
-				chargeGroup(gt)
-				rb.sendLoad[gw] += words
-				rb.recvLoad[gt] += words
-				total += words
-			}
-			i += frameHeader + nw
-		}
-	}
-	if !slices.IsSorted(rb.touched) {
-		slices.Sort(rb.touched)
-	}
-	if !slices.IsSorted(rb.tgroups) {
-		slices.Sort(rb.tgroups)
-	}
-
-	// Pass 2: prefix offsets over the touched destinations, then
-	// counting-sort the frames. The scattered (random-order) stores are
-	// 8-byte pointer-free locators — sender and payload offset packed in one
-	// word — which stay cache-resident and take no write barriers; the
-	// 40-byte Msg structs are then materialized in a sequential sweep over
-	// the sorted locators. Scattering the Msg structs directly was measured
-	// and lost: random 40-byte stores with pointer write barriers dominated
-	// Deliver. Staging order visits senders ascending, so each inbox comes
-	// out From-sorted. If any sender's arena outgrew the packed offset
-	// range, senders ride in a parallel slab instead (the wide path).
-	run := int32(0)
-	for _, d := range rb.touched {
-		rb.off[d] = run
-		run += rb.cnt[d]
-		rb.cnt[d] = 0 // reuse as fill cursor
-	}
-	if cap(rb.loc) < nmsg {
-		rb.loc = make([]uint64, nmsg)
-	}
-	rb.loc = rb.loc[:nmsg]
-	wide := uint64(maxArena) >= locOffsetLimit
-	if wide {
-		rb.locFrom = growInt32(rb.locFrom, nmsg)
-	}
-	for w := 0; w < n; w++ {
-		buf := rb.send[w].buf
-		for i := 0; i < len(buf); {
-			to, nw := unpackHeader(buf[i])
-			idx := rb.off[to] + rb.cnt[to]
-			rb.cnt[to]++
-			lo := i + frameHeader
-			if wide {
-				rb.loc[idx] = uint64(lo)
-				rb.locFrom[idx] = int32(w)
-			} else {
-				rb.loc[idx] = uint64(w)<<32 | uint64(uint32(lo))
-			}
-			i = lo + nw
-		}
-	}
-	if cap(rb.msgs) < nmsg {
-		rb.msgs = make([]Msg, nmsg)
-	}
-	rb.msgs = rb.msgs[:nmsg]
-	for ti, d := range rb.touched {
-		lo32 := rb.off[d]
-		hi32 := int32(nmsg)
-		if ti+1 < len(rb.touched) {
-			hi32 = rb.off[rb.touched[ti+1]]
-		}
-		for idx := int(lo32); idx < int(hi32); idx++ {
-			var from, lo int
-			if wide {
-				from, lo = int(rb.locFrom[idx]), int(rb.loc[idx])
-			} else {
-				l := rb.loc[idx]
-				from, lo = int(l>>32), int(uint32(l))
-			}
-			buf := rb.send[from].buf
-			_, nw := unpackHeader(buf[lo-1])
-			hi := lo + nw
-			rb.msgs[idx] = Msg{To: int(d), From: from, Words: buf[lo:hi:hi]}
-		}
-	}
-
-	// Pass 3: slice inboxes out of the slab and order equal-sender runs by
-	// payload (SortInbox's tie-break; runs are per ordered pair and tiny).
-	var maxSend, maxRecv int64
-	for _, g := range rb.tgroups {
-		if rb.sendLoad[g] > maxSend {
-			maxSend = rb.sendLoad[g]
-		}
-		if rb.recvLoad[g] > maxRecv {
-			maxRecv = rb.recvLoad[g]
-		}
-	}
-	for ti, d := range rb.touched {
-		lo := rb.off[d]
-		hi := int32(nmsg)
-		if ti+1 < len(rb.touched) {
-			hi = rb.off[rb.touched[ti+1]]
-		}
-		in := rb.msgs[lo:hi]
-		rb.inboxes[d] = in
-		for i := 1; i < len(in); {
-			if in[i].From != in[i-1].From {
-				i++
-				continue
-			}
-			j := i - 1
-			for i < len(in) && in[i].From == in[j].From {
-				i++
-			}
-			insertionSortByWords(in[j:i])
-		}
-	}
-	// The touched list becomes next round's inbox-reset list (swap so both
-	// stay allocation-free in steady state).
-	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes[:n], RoundStats{
-		TotalWords:  total,
-		MaxSendLoad: maxSend,
-		MaxRecvLoad: maxRecv,
-		SendLoad:    rb.sendLoad,
-		RecvLoad:    rb.recvLoad,
-		Groups:      rb.tgroups,
-	}, nil
-}
-
-// deliverParallel is Deliver's multicore body: the destination space [0,n)
-// splits into one contiguous range per pool worker, and each range worker
-// counts, scatters, materializes, and tie-break-sorts only the frames
-// addressed into its range. Each worker walks every sender's arena in
-// ascending order (headers skip payloads, so the rescans stream), which
-// preserves the per-destination fill order — ascending sender, then staging
-// order — and the equal-sender payload sort is unchanged, so inboxes come
-// out byte-identical to the serial pass.
-//
-// Everything per-destination (cnt, off, destStamp, pair budgets, ungrouped
-// recvLoad, msgs, inboxes) is written only by the owning range, so the
-// shared arrays need no synchronization beyond the pool's round barrier.
-// What cannot be destination-owned is reconstructed serially between the
-// phases: the first staging-order RouteError wins a min-(sender, index)
-// merge, ungrouped send loads fall out of arena sizes (every frame is
-// charged when no traffic is free), and grouped loads merge per-(range,
-// group) partial sums.
-func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) ([][]Msg, RoundStats, error) {
-	n := rb.n
-	groupOf := opts.GroupOf
-	pool := opts.Pool
-	ep := rb.epoch
-	nr := pool.Workers()
-	if nr > n {
-		nr = n
-	}
-	if cap(rb.rangeTouch) < nr {
-		grown := make([][]int32, nr)
-		copy(grown, rb.rangeTouch)
-		rb.rangeTouch = grown
-	}
-	rb.rangeTouch = rb.rangeTouch[:nr]
-	if cap(rb.rangeOff) < nr+1 {
-		rb.rangeOff = make([]int, nr+1)
-	}
-	rb.rangeOff = rb.rangeOff[:nr+1]
-	if cap(rb.rangeNmsg) < nr {
-		rb.rangeNmsg = make([]int, nr)
-	}
-	rb.rangeNmsg = rb.rangeNmsg[:nr]
-	if cap(rb.rangeErr) < nr {
-		rb.rangeErr = make([]deliverErrCand, nr)
-	}
-	rb.rangeErr = rb.rangeErr[:nr]
+	rb.nr, rb.groupOf, rb.groups, rb.pairWords = nr, groupOf, groups, opts.PairWords
+	rb.wide = uint64(maxArena) >= locOffsetLimit
+	// Reserve a pair-budget stamp per sender up front, so ranges visiting
+	// senders concurrently stamp deterministically; stamps stay strictly
+	// increasing across rounds.
+	rb.stampBase = rb.stamp
+	rb.stamp += int64(n)
+	rb.rangeTouch = grow(rb.rangeTouch, nr)
+	rb.rangeErr = grow(rb.rangeErr, nr)
 	if groupOf != nil {
-		rb.grpSend = growInt64(rb.grpSend, nr*groups)
-		rb.grpRecv = growInt64(rb.grpRecv, nr*groups)
-		rb.grpHit = growBool(rb.grpHit, nr*groups)
+		rb.grpSend = grow(rb.grpSend, nr*groups)
+		rb.grpRecv = grow(rb.grpRecv, nr*groups)
+		rb.grpHit = grow(rb.grpHit, nr*groups)
 		clear(rb.grpSend)
 		clear(rb.grpRecv)
 		clear(rb.grpHit)
 	}
-	// Reserve a deterministic pair-budget stamp per sender up front: the
-	// serial pass advances rb.stamp once per non-empty arena, but ranges
-	// visit senders concurrently, so sender w stamps with base+w+1 instead.
-	// Stamps stay strictly increasing across rounds either way.
-	stampBase := rb.stamp
-	rb.stamp += int64(n)
 
-	// Phase A: per range — validate, enforce pair budgets, count frames per
-	// destination, accumulate receive (and grouped) loads.
-	phaseA := func(r int) {
-		lo := r * n / nr
-		hi := (r + 1) * n / nr
-		touch := rb.rangeTouch[r][:0]
-		var cand deliverErrCand
-		count := 0
-		var gSend, gRecv []int64
-		var gHit []bool
-		if groupOf != nil {
-			gSend = rb.grpSend[r*groups : (r+1)*groups]
-			gRecv = rb.grpRecv[r*groups : (r+1)*groups]
-			gHit = rb.grpHit[r*groups : (r+1)*groups]
-		}
-		for w := 0; w < n; w++ {
-			buf := rb.send[w].buf
-			if len(buf) == 0 {
-				continue
-			}
-			st := stampBase + int64(w) + 1
-			gw := w
-			if groupOf != nil {
-				gw = groupOf[w]
-			}
-			for i := 0; i < len(buf); {
-				to, nw := unpackHeader(buf[i])
-				fi := i
-				i += frameHeader + nw
-				if to < lo || to >= hi {
-					// Another range's frame — except invalid destinations,
-					// which belong to no range: every worker spots those, so
-					// the merge still sees the staging-order first.
-					if (to < 0 || to >= n) && !cand.ok {
-						cand = deliverErrCand{ok: true, w: w, i: fi,
-							err: RouteError{OutOfRange: true, From: w, To: to}}
-					}
-					continue
-				}
-				if opts.PairWords > 0 {
-					if rb.pairStamp[to] != st {
-						rb.pairStamp[to] = st
-						rb.pairCnt[to] = 0
-					}
-					rb.pairCnt[to] += int32(nw)
-					if int(rb.pairCnt[to]) > opts.PairWords && !cand.ok {
-						cand = deliverErrCand{ok: true, w: w, i: fi,
-							err: RouteError{From: w, To: to, Words: int(rb.pairCnt[to]), Budget: opts.PairWords}}
-					}
-				}
-				if rb.destStamp[to] != ep {
-					rb.destStamp[to] = ep
-					rb.cnt[to] = 0
-					if groupOf == nil {
-						rb.recvLoad[to] = 0
-					}
-					touch = append(touch, int32(to))
-				}
-				rb.cnt[to]++
-				count++
-				if groupOf == nil {
-					rb.recvLoad[to] += int64(nw)
-				} else {
-					gt := groupOf[to]
-					if !opts.FreeIntraGroup || gt != gw {
-						gSend[gw] += int64(nw)
-						gRecv[gt] += int64(nw)
-						gHit[gw] = true
-						gHit[gt] = true
-					}
-				}
-			}
-		}
-		slices.Sort(touch) // ranges are ascending intervals: concat is sorted
-		rb.rangeTouch[r] = touch
-		rb.rangeNmsg[r] = count
-		rb.rangeErr[r] = cand
-	}
-	pool.RunHeavy(nr, phaseA)
+	rb.forRanges(opts.Pool, (*RoundBuffer).countRange)
 
 	// Error merge: the earliest (sender, staging index) violation across
-	// ranges is exactly the error the serial pass would have returned.
+	// ranges is the round's error.
 	var best *deliverErrCand
 	for r := 0; r < nr; r++ {
 		c := &rb.rangeErr[r]
@@ -695,21 +357,12 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 		return nil, RoundStats{}, &e
 	}
 
-	nmsg := 0
-	rb.touched = rb.touched[:0]
-	for r := 0; r < nr; r++ {
-		rb.rangeOff[r] = len(rb.touched)
-		rb.touched = append(rb.touched, rb.rangeTouch[r]...)
-		nmsg += rb.rangeNmsg[r]
-	}
-	rb.rangeOff[nr] = len(rb.touched)
-
 	// Group accounting merge.
 	var total int64
 	if groupOf == nil {
 		// Per-worker groups with nothing free: every staged frame is
 		// charged, so a sender's load is exactly its arena's payload words
-		// and the touched list is the group set's receive side.
+		// and the touched destinations are the group set's receive side.
 		for w := 0; w < n; w++ {
 			sb := &rb.send[w]
 			if sb.nmsg == 0 {
@@ -726,11 +379,13 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 			rb.sendLoad[w] = words
 			total += words
 		}
-		for _, d := range rb.touched {
-			if rb.gStamp[d] != ep {
-				rb.gStamp[d] = ep
-				rb.tgroups = append(rb.tgroups, d)
-				rb.sendLoad[d] = 0 // receives but sends nothing
+		for _, touch := range rb.rangeTouch {
+			for _, d := range touch {
+				if rb.gStamp[d] != ep {
+					rb.gStamp[d] = ep
+					rb.tgroups = append(rb.tgroups, d)
+					rb.sendLoad[d] = 0 // receives but sends nothing
+				}
 			}
 		}
 		if !slices.IsSorted(rb.tgroups) {
@@ -758,89 +413,24 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 		}
 	}
 
-	// Prefix offsets over the (globally sorted) touched list, exactly as the
-	// serial pass 2; each range then fills a contiguous region of loc/msgs.
-	run := int32(0)
-	for _, d := range rb.touched {
-		rb.off[d] = run
-		run += rb.cnt[d]
-		rb.cnt[d] = 0 // reuse as fill cursor
+	// Prefix offsets over the touched destinations, ascending (ranges are
+	// ascending intervals); each range then fills a contiguous region of
+	// loc/msgs.
+	nmsg := 0
+	for _, touch := range rb.rangeTouch {
+		for _, d := range touch {
+			rb.off[d] = int32(nmsg)
+			nmsg += int(rb.cnt[d])
+			rb.cnt[d] = 0 // reuse as fill cursor
+		}
 	}
-	if cap(rb.loc) < nmsg {
-		rb.loc = make([]uint64, nmsg)
+	rb.loc = grow(rb.loc, nmsg)
+	if rb.wide {
+		rb.locFrom = grow(rb.locFrom, nmsg)
 	}
-	rb.loc = rb.loc[:nmsg]
-	wide := uint64(maxArena) >= locOffsetLimit
-	if wide {
-		rb.locFrom = growInt32(rb.locFrom, nmsg)
-	}
-	if cap(rb.msgs) < nmsg {
-		rb.msgs = make([]Msg, nmsg)
-	}
-	rb.msgs = rb.msgs[:nmsg]
+	rb.msgs = grow(rb.msgs, nmsg)
 
-	// Phase B+C fused per range: scatter locators for the range's
-	// destinations, then materialize Msgs and tie-break-sort its inboxes —
-	// a range reads only locator slots it wrote itself, so no barrier is
-	// needed between the scatter and the sweep.
-	phaseBC := func(r int) {
-		lo := r * n / nr
-		hi := (r + 1) * n / nr
-		for w := 0; w < n; w++ {
-			buf := rb.send[w].buf
-			for i := 0; i < len(buf); {
-				to, nw := unpackHeader(buf[i])
-				plo := i + frameHeader
-				i = plo + nw
-				if to < lo || to >= hi {
-					continue
-				}
-				idx := rb.off[to] + rb.cnt[to]
-				rb.cnt[to]++
-				if wide {
-					rb.loc[idx] = uint64(plo)
-					rb.locFrom[idx] = int32(w)
-				} else {
-					rb.loc[idx] = uint64(w)<<32 | uint64(uint32(plo))
-				}
-			}
-		}
-		for ti := rb.rangeOff[r]; ti < rb.rangeOff[r+1]; ti++ {
-			d := rb.touched[ti]
-			mlo := rb.off[d]
-			mhi := int32(nmsg)
-			if ti+1 < len(rb.touched) {
-				mhi = rb.off[rb.touched[ti+1]]
-			}
-			for idx := mlo; idx < mhi; idx++ {
-				var from, plo int
-				if wide {
-					from, plo = int(rb.locFrom[idx]), int(rb.loc[idx])
-				} else {
-					l := rb.loc[idx]
-					from, plo = int(l>>32), int(uint32(l))
-				}
-				buf := rb.send[from].buf
-				_, nw := unpackHeader(buf[plo-1])
-				phi := plo + nw
-				rb.msgs[idx] = Msg{To: int(d), From: from, Words: buf[plo:phi:phi]}
-			}
-			in := rb.msgs[mlo:mhi]
-			rb.inboxes[d] = in
-			for i := 1; i < len(in); {
-				if in[i].From != in[i-1].From {
-					i++
-					continue
-				}
-				j := i - 1
-				for i < len(in) && in[i].From == in[j].From {
-					i++
-				}
-				insertionSortByWords(in[j:i])
-			}
-		}
-	}
-	pool.RunHeavy(nr, phaseBC)
+	rb.forRanges(opts.Pool, (*RoundBuffer).fillRange)
 
 	var maxSend, maxRecv int64
 	for _, g := range rb.tgroups {
@@ -851,8 +441,7 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 			maxRecv = rb.recvLoad[g]
 		}
 	}
-	rb.touched, rb.prevTouch = rb.prevTouch, rb.touched
-	return rb.inboxes[:n], RoundStats{
+	return rb.inboxes, RoundStats{
 		TotalWords:  total,
 		MaxSendLoad: maxSend,
 		MaxRecvLoad: maxRecv,
@@ -860,6 +449,163 @@ func (rb *RoundBuffer) deliverParallel(opts DeliverOpts, groups, maxArena int) (
 		RecvLoad:    rb.recvLoad,
 		Groups:      rb.tgroups,
 	}, nil
+}
+
+// forRanges runs phase once per destination range: inline when there is
+// one range (no pool wake-up, no closure), across the pool otherwise.
+func (rb *RoundBuffer) forRanges(pool *WorkPool, phase func(rb *RoundBuffer, r int)) {
+	if rb.nr == 1 {
+		phase(rb, 0)
+		return
+	}
+	pool.RunHeavy(rb.nr, func(r int) { phase(rb, r) })
+}
+
+// countRange is Deliver's first range phase: validate, enforce pair
+// budgets, count frames per destination, and accumulate receive (and
+// grouped) loads for the destinations in range r.
+func (rb *RoundBuffer) countRange(r int) {
+	n, ep, groupOf, groups := rb.n, rb.epoch, rb.groupOf, rb.groups
+	lo := r * n / rb.nr
+	hi := (r + 1) * n / rb.nr
+	touch := rb.rangeTouch[r][:0]
+	var cand deliverErrCand
+	var gSend, gRecv []int64
+	var gHit []bool
+	if groupOf != nil {
+		gSend = rb.grpSend[r*groups : (r+1)*groups]
+		gRecv = rb.grpRecv[r*groups : (r+1)*groups]
+		gHit = rb.grpHit[r*groups : (r+1)*groups]
+	}
+	for w := 0; w < n; w++ {
+		buf := rb.send[w].buf
+		if len(buf) == 0 {
+			continue
+		}
+		st := rb.stampBase + int64(w) + 1
+		gw := w
+		if groupOf != nil {
+			gw = groupOf[w]
+		}
+		for i := 0; i < len(buf); {
+			to, nw := unpackHeader(buf[i])
+			fi := i
+			i += frameHeader + nw
+			if to < lo || to >= hi {
+				// Another range's frame — except invalid destinations,
+				// which belong to no range: every range spots those, so
+				// the merge still sees the staging-order first.
+				if (to < 0 || to >= n) && !cand.ok {
+					cand = deliverErrCand{ok: true, w: w, i: fi,
+						err: RouteError{OutOfRange: true, From: w, To: to}}
+				}
+				continue
+			}
+			if rb.pairWords > 0 {
+				if rb.pairStamp[to] != st {
+					rb.pairStamp[to] = st
+					rb.pairCnt[to] = 0
+				}
+				rb.pairCnt[to] += int32(nw)
+				if int(rb.pairCnt[to]) > rb.pairWords && !cand.ok {
+					cand = deliverErrCand{ok: true, w: w, i: fi,
+						err: RouteError{From: w, To: to, Words: int(rb.pairCnt[to]), Budget: rb.pairWords}}
+				}
+			}
+			if rb.destStamp[to] != ep {
+				rb.destStamp[to] = ep
+				rb.cnt[to] = 0
+				if groupOf == nil {
+					rb.recvLoad[to] = 0
+				}
+				touch = append(touch, int32(to))
+			}
+			rb.cnt[to]++
+			if groupOf == nil {
+				rb.recvLoad[to] += int64(nw)
+			} else if gt := groupOf[to]; gt != gw {
+				gSend[gw] += int64(nw)
+				gRecv[gt] += int64(nw)
+				gHit[gw] = true
+				gHit[gt] = true
+			}
+		}
+	}
+	if !slices.IsSorted(touch) {
+		slices.Sort(touch)
+	}
+	rb.rangeTouch[r] = touch
+	rb.rangeErr[r] = cand
+}
+
+// fillRange is Deliver's second range phase, fused: scatter locators for
+// range r's destinations, then materialize their Msgs and tie-break-sort
+// their inboxes. A range reads only locator slots it wrote itself, so no
+// barrier is needed between the scatter and the sweep.
+//
+// The scattered (random-order) stores are 8-byte pointer-free locators —
+// sender and payload offset packed in one word — which stay cache-resident
+// and take no write barriers; the 40-byte Msg structs are then materialized
+// in a sequential sweep over the sorted locators. Scattering the Msg
+// structs directly was measured and lost: random 40-byte stores with
+// pointer write barriers dominated delivery. If any sender's arena outgrew
+// the packed offset range, senders ride in a parallel slab instead (the
+// wide path).
+func (rb *RoundBuffer) fillRange(r int) {
+	n, wide := rb.n, rb.wide
+	lo := r * n / rb.nr
+	hi := (r + 1) * n / rb.nr
+	for w := 0; w < n; w++ {
+		buf := rb.send[w].buf
+		for i := 0; i < len(buf); {
+			to, nw := unpackHeader(buf[i])
+			plo := i + frameHeader
+			i = plo + nw
+			if to < lo || to >= hi {
+				continue
+			}
+			idx := rb.off[to] + rb.cnt[to]
+			rb.cnt[to]++
+			if wide {
+				rb.loc[idx] = uint64(plo)
+				rb.locFrom[idx] = int32(w)
+			} else {
+				rb.loc[idx] = uint64(w)<<32 | uint64(uint32(plo))
+			}
+		}
+	}
+	for _, d := range rb.rangeTouch[r] {
+		mlo := rb.off[d]
+		mhi := mlo + rb.cnt[d] // the fill cursor ends at d's frame count
+		for idx := mlo; idx < mhi; idx++ {
+			var from, plo int
+			if wide {
+				from, plo = int(rb.locFrom[idx]), int(rb.loc[idx])
+			} else {
+				l := rb.loc[idx]
+				from, plo = int(l>>32), int(uint32(l))
+			}
+			buf := rb.send[from].buf
+			_, nw := unpackHeader(buf[plo-1])
+			phi := plo + nw
+			rb.msgs[idx] = Msg{To: int(d), From: from, Words: buf[plo:phi:phi]}
+		}
+		// Order equal-sender runs by payload (SortInbox's tie-break; runs
+		// are per ordered pair and tiny).
+		in := rb.msgs[mlo:mhi]
+		rb.inboxes[d] = in
+		for i := 1; i < len(in); {
+			if in[i].From != in[i-1].From {
+				i++
+				continue
+			}
+			j := i - 1
+			for i < len(in) && in[i].From == in[j].From {
+				i++
+			}
+			insertionSortByWords(in[j:i])
+		}
+	}
 }
 
 // insertionSortByWords orders an equal-sender run lexicographically by

@@ -71,7 +71,7 @@ func TestRoundBufferGroupedLoads(t *testing.T) {
 	// 0→1 intra-group (free), 0→2 cross (2 words), 3→0 cross (1 word).
 	stageInto(rb, 0, Msg{To: 1, Words: []uint64{5}}, Msg{To: 2, Words: []uint64{6, 7}})
 	stageInto(rb, 3, Msg{To: 0, Words: []uint64{8}})
-	in, stats, err := rb.Deliver(DeliverOpts{GroupOf: groupOf, Groups: 2, FreeIntraGroup: true})
+	in, stats, err := rb.Deliver(DeliverOpts{GroupOf: groupOf, Groups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +163,19 @@ func TestRoundBufferReuseClearsStaleInboxes(t *testing.T) {
 	}
 }
 
+// stagedFrames decodes a SendBuf's arena back into messages, in staging
+// order.
+func stagedFrames(sb *SendBuf) []Msg {
+	var out []Msg
+	for i := 0; i < len(sb.buf); {
+		to, nw := unpackHeader(sb.buf[i])
+		lo := i + frameHeader
+		out = append(out, Msg{To: to, From: sb.from, Words: sb.buf[lo : lo+nw]})
+		i = lo + nw
+	}
+	return out
+}
+
 func TestSendBufBeginGrowthKeepsEarlierPayloads(t *testing.T) {
 	var sb SendBuf
 	sb.reset(0)
@@ -175,7 +188,7 @@ func TestSendBufBeginGrowthKeepsEarlierPayloads(t *testing.T) {
 			p[j] = uint64(i)
 		}
 	}
-	msgs := sb.messages()
+	msgs := stagedFrames(&sb)
 	if len(msgs) != 65 {
 		t.Fatalf("got %d msgs", len(msgs))
 	}

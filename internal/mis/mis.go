@@ -247,7 +247,7 @@ func solveDet[T topology](f fabric.Fabric, pairWords int, t T, active []bool, p 
 			joined[v] = joinsUnder(int32(v), chosen)
 		}
 		f.Ledger().SetPhase("mis:announce")
-		if _, err := fabric.RoundFrames(f, func(w int, sb *fabric.SendBuf) {
+		if _, err := f.Round(func(w int, sb *fabric.SendBuf) {
 			v := int32(w)
 			if !joined[v] {
 				return

@@ -47,10 +47,7 @@ type Cluster struct {
 	live *fabric.RoundBuffer
 }
 
-var (
-	_ fabric.Fabric      = (*Cluster)(nil)
-	_ fabric.FrameFabric = (*Cluster)(nil)
-)
+var _ fabric.Fabric = (*Cluster)(nil)
 
 // Option configures a Cluster.
 type Option func(*Cluster)
@@ -285,20 +282,11 @@ func (e *SpaceError) Error() string {
 }
 
 // Round executes one synchronous round across the virtual workers, charging
-// traffic at machine granularity. Cross-machine sends and receives per
-// machine must each fit in 𝔰. Inboxes are zero-copy views into pooled
-// arenas, valid until the next round on this cluster.
-func (c *Cluster) Round(produce func(w int) []fabric.Msg) ([][]fabric.Msg, error) {
-	return c.FrameRound(func(w int, sb *fabric.SendBuf) {
-		for _, m := range produce(w) {
-			sb.Put(m.To, m.Words...)
-		}
-	})
-}
-
-// FrameRound executes one synchronous round staged directly as flat frames
-// (fabric.FrameFabric), avoiding per-message allocation entirely.
-func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
+// traffic at machine granularity: traffic between co-hosted workers is
+// free, and cross-machine sends and receives per machine must each fit in
+// 𝔰. Inboxes are zero-copy views into pooled arenas, valid until the next
+// round on this cluster.
+func (c *Cluster) Round(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.Msg, error) {
 	if c.live != nil {
 		fabric.ReleaseRoundBuffer(c.live)
 		c.live = nil
@@ -307,10 +295,9 @@ func (c *Cluster) FrameRound(stage func(w int, sb *fabric.SendBuf)) ([][]fabric.
 	c.live = rb
 	c.runParallel(func(v int) { stage(v, rb.Sender(v)) })
 	inboxes, stats, err := rb.Deliver(fabric.DeliverOpts{
-		GroupOf:        c.assign,
-		Groups:         c.machines,
-		FreeIntraGroup: true,
-		Pool:           c.workPool,
+		GroupOf: c.assign,
+		Groups:  c.machines,
+		Pool:    c.workPool,
 	})
 	if err != nil {
 		var re *fabric.RouteError

@@ -7,6 +7,16 @@ import (
 	"ccolor/internal/fabric"
 )
 
+// stageMsgs adapts a per-worker []Msg producer to a Fabric.Round staging
+// callback, so tests can spell out a round's traffic as message literals.
+func stageMsgs(produce func(w int) []fabric.Msg) func(w int, sb *fabric.SendBuf) {
+	return func(w int, sb *fabric.SendBuf) {
+		for _, m := range produce(w) {
+			sb.Put(m.To, m.Words...)
+		}
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New([]int{0, 3}, 2, 100); err == nil {
 		t.Fatal("invalid machine assignment accepted")
@@ -29,12 +39,12 @@ func TestIntraMachineTrafficFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Workers 0→1 are co-hosted: a huge message is free.
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := c.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 1, Words: make([]uint64, 1000)}}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if c.Ledger().WordsMoved() != 0 {
@@ -47,12 +57,12 @@ func TestSendSpaceEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Round(func(w int) []fabric.Msg {
+	_, err = c.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 1, Words: make([]uint64, 10)}}
-	})
+	}))
 	var se *SpaceError
 	if !errors.As(err, &se) || se.Kind != "send" {
 		t.Fatalf("expected send SpaceError, got %v", err)
@@ -64,12 +74,12 @@ func TestRecvSpaceEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Round(func(w int) []fabric.Msg {
+	_, err = c.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w == 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 0, Words: []uint64{1, 2}}} // 3 senders × 2 words = 6 > 3
-	})
+	}))
 	var se *SpaceError
 	if !errors.As(err, &se) || se.Kind != "recv" {
 		t.Fatalf("expected recv SpaceError, got %v", err)
@@ -99,9 +109,9 @@ func TestTotalBudgetEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = c.Round(func(w int) []fabric.Msg {
+	_, err = c.Round(stageMsgs(func(w int) []fabric.Msg {
 		return []fabric.Msg{{To: 1 - w, Words: []uint64{1, 2, 3}}}
-	})
+	}))
 	var se *SpaceError
 	if !errors.As(err, &se) || se.Kind != "total" {
 		t.Fatalf("expected total SpaceError, got %v", err)
@@ -133,12 +143,12 @@ func TestResetRecyclesCluster(t *testing.T) {
 	if err := c.AdjustResident(0, 17); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := c.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 1, Words: make([]uint64, 30)}}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if c.Ledger().Rounds() != 1 || c.Ledger().WordsMoved() != 30 {
@@ -173,12 +183,12 @@ func TestResetRecyclesCluster(t *testing.T) {
 	}
 
 	// The recycled cluster must charge rounds from zero.
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := c.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 3 {
 			return nil
 		}
 		return []fabric.Msg{{To: 0, Words: []uint64{1, 2}}}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if c.Ledger().Rounds() != 1 || c.Ledger().WordsMoved() != 2 {
@@ -199,12 +209,12 @@ func TestPeakTracksTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Round(func(w int) []fabric.Msg {
+	if _, err := c.Round(stageMsgs(func(w int) []fabric.Msg {
 		if w != 0 {
 			return nil
 		}
 		return []fabric.Msg{{To: 1, Words: make([]uint64, 42)}}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if c.PeakMachineSpace() != 42 {
@@ -259,12 +269,12 @@ func TestResetLinearMatchesNewLinear(t *testing.T) {
 		}
 		// One round on each must charge identically.
 		for _, c := range []*Cluster{recycled, fresh} {
-			if _, err := c.Round(func(w int) []fabric.Msg {
+			if _, err := c.Round(stageMsgs(func(w int) []fabric.Msg {
 				if w == 0 && shape.n > 1 {
 					return []fabric.Msg{{To: shape.n - 1, Words: []uint64{7}}}
 				}
 				return nil
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -45,11 +45,11 @@ func TestRoundParallelismDeterminismScenarios(t *testing.T) {
 				}
 			}
 			for r := 0; r < rounds; r++ {
-				inS, err := serial.Round(produce(r))
+				inS, err := serial.Round(stageMsgs(produce(r)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				inP, err := parallel.Round(produce(r))
+				inP, err := parallel.Round(stageMsgs(produce(r)))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -189,6 +189,7 @@ type Snapshot struct {
 	JobsTotal      uint64                   `json:"jobs_total"`
 	Errors         uint64                   `json:"errors_total"`
 	Rejected       uint64                   `json:"rejected_total"` // queue-full rejections
+	Panics         uint64                   `json:"panics_total"`   // solver panics recovered
 	InFlight       int64                    `json:"in_flight"`
 	QueueDepth     int                      `json:"queue_depth"`
 	QueueCap       int                      `json:"queue_capacity"`
@@ -225,6 +226,7 @@ type Metrics struct {
 	mu       sync.Mutex
 	start    time.Time
 	rejected uint64
+	panics   uint64
 	models   map[ccolor.Model]*modelStats
 	problems map[problemKey]*problemStats
 }
@@ -279,6 +281,13 @@ func (m *Metrics) RecordSessionReuse(model ccolor.Model) {
 func (m *Metrics) RecordRejected() {
 	m.mu.Lock()
 	m.rejected++
+	m.mu.Unlock()
+}
+
+// RecordPanic counts one solver panic recovered by a worker.
+func (m *Metrics) RecordPanic() {
+	m.mu.Lock()
+	m.panics++
 	m.mu.Unlock()
 }
 
@@ -340,6 +349,7 @@ func (m *Metrics) snapshot(now time.Time) Snapshot {
 	out := Snapshot{
 		Uptime:   now.Sub(m.start),
 		Rejected: m.rejected,
+		Panics:   m.panics,
 		PerModel: make(map[string]ModelSnapshot, len(m.models)),
 	}
 	for model, s := range m.models {

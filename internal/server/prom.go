@@ -34,6 +34,9 @@ func WritePrometheus(w io.Writer, snap Snapshot) {
 	pw.family("ccserve_rejected_jobs_total", "counter", "Jobs rejected because the queue was full.")
 	pw.sample("ccserve_rejected_jobs_total", "", float64(snap.Rejected))
 
+	pw.family("ccserve_panics_total", "counter", "Solver panics recovered by the worker pool; each failed its job.")
+	pw.sample("ccserve_panics_total", "", float64(snap.Panics))
+
 	pw.family("ccserve_cache_entries", "gauge", "Result-cache entries currently resident.")
 	pw.sample("ccserve_cache_entries", "", float64(snap.CacheSize))
 

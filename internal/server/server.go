@@ -322,10 +322,16 @@ func sessionSlot(model ccolor.Model) int {
 	return 0
 }
 
+// solveHook, when set, runs at the start of every session solve. Tests use
+// it to make a solve panic.
+var solveHook func(spec *Spec)
+
 // solve runs the spec on the worker's session for its model, creating the
 // session on the model's first job and counting every later solve as a
 // session reuse. A failed solve retires the session (arenas released, slot
-// cleared) so the next job starts from clean state.
+// cleared) so the next job starts from clean state. A panic in the solve
+// is recovered, counted, and returned as the job's error, so it takes the
+// same path: the worker, its queue and any parked waiters survive it.
 func (ws *workerSessions) solve(m *Metrics, spec *Spec, trace bool) (*ccolor.Report, error) {
 	model := spec.model()
 	slot := sessionSlot(model)
@@ -343,7 +349,7 @@ func (ws *workerSessions) solve(m *Metrics, spec *Spec, trace bool) (*ccolor.Rep
 	}
 	opts := spec.options()
 	opts.Trace = trace
-	rep, err := sess.Solve(spec.Inst, opts)
+	rep, err := solveRecovered(m, sess, spec, opts)
 	if err != nil {
 		sess.Release()
 		ws.byModel[slot] = nil
@@ -351,6 +357,20 @@ func (ws *workerSessions) solve(m *Metrics, spec *Spec, trace bool) (*ccolor.Rep
 		return nil, err
 	}
 	return rep, nil
+}
+
+// solveRecovered is sess.Solve with a panic turned into an error.
+func solveRecovered(m *Metrics, sess *ccolor.SolverSession, spec *Spec, opts *ccolor.Options) (rep *ccolor.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			m.RecordPanic()
+			rep, err = nil, fmt.Errorf("server: solver panic: %v", p)
+		}
+	}()
+	if solveHook != nil {
+		solveHook(spec)
+	}
+	return sess.Solve(spec.Inst, opts)
 }
 
 // release retires all pinned sessions when the worker exits (drain).
