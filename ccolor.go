@@ -12,23 +12,21 @@
 //
 // Coloring is one entry in a problem registry (internal/problem): the same
 // session machinery also solves maximal independent sets and deterministic
-// (2,β)-ruling sets on all three models. Solve with Options.Problem is the
-// problem-keyed entry point; the Color* functions remain as coloring-only
-// compatibility wrappers.
+// (2,β)-ruling sets on all three models. Solve (pooled sessions) and
+// SolverSession (a pinned one) are the entry points; Options picks the
+// model and the problem.
 //
 // This file is the public facade over the internal packages; the
 // sub-packages under internal/ hold the implementation, and cmd/ and
 // examples/ show larger deployments. A minimal use:
 //
 //	g, _ := ccolor.GNP(1000, 0.02, 1)
-//	result, err := ccolor.ColorDeltaPlus1(g, nil)
-//	// result.Coloring is a verified proper (Δ+1)-coloring;
-//	// result.Rounds is the exact CONGESTED CLIQUE round count.
+//	rep, err := ccolor.Solve(ccolor.DeltaPlus1Instance(g), nil)
+//	// rep.Coloring is a verified proper (Δ+1)-coloring;
+//	// rep.Rounds is the exact CONGESTED CLIQUE round count.
 package ccolor
 
 import (
-	"fmt"
-
 	"ccolor/internal/core"
 	"ccolor/internal/graph"
 	"ccolor/internal/lowspace"
@@ -92,92 +90,8 @@ var (
 	DegPlus1Instance = graph.DegPlus1Instance
 )
 
-// Result is a verified coloring plus its model cost.
-type Result struct {
-	Coloring Coloring
-	// Rounds is the exact model round count (every round moved real,
-	// budget-enforced messages in the simulator).
-	Rounds int
-	// MaxNodeLoad is the maximum words any node sent or received in one
-	// round (the congested clique requires O(𝔫)).
-	MaxNodeLoad int64
-	// Trace is the recursion telemetry.
-	Trace *Trace
-}
-
-// ColorDeltaPlus1 runs Theorem 1.1's algorithm on the congested clique for
-// the classic (Δ+1)-coloring problem. params may be nil for defaults. The
-// returned coloring is verified before it is returned.
-//
-// Deprecated: use the problem-keyed Solve (Options.Problem defaults to
-// ProblemColoring) for the full Report; this wrapper survives for
-// compatibility and projects the Report down to Result.
-func ColorDeltaPlus1(g *Graph, params *Params) (*Result, error) {
-	return ColorList(DeltaPlus1Instance(g), params)
-}
-
-// ColorList runs Theorem 1.1's algorithm on the congested clique for a
-// (Δ+1)-list coloring instance (every palette strictly larger than Δ).
-//
-// Deprecated: use the problem-keyed Solve (Options.Problem defaults to
-// ProblemColoring) for the full Report; this wrapper survives for
-// compatibility and projects the Report down to Result.
-func ColorList(inst *Instance, params *Params) (*Result, error) {
-	rep, err := Solve(inst, &Options{Model: ModelCClique, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Coloring: rep.Coloring, Rounds: rep.Rounds, MaxNodeLoad: rep.MaxNodeLoad, Trace: rep.Trace}, nil
-}
-
-// MPCResult extends Result with machine-space telemetry (Theorems 1.2–1.3).
-type MPCResult struct {
-	Result
-	Machines  int
-	Space     int64 // 𝔰, words per machine
-	PeakSpace int64 // max observed single-machine need
-}
-
-// ColorListMPC runs the same algorithm on a linear-space MPC cluster
-// (Theorem 1.2). Set params.CompactPalettes for the Theorem 1.3 O(𝔪+𝔫)
-// global-space mode (requires {1..Δ+1} palettes).
-//
-// Deprecated: use the problem-keyed Solve with Options.Model = ModelMPC.
-func ColorListMPC(inst *Instance, params *Params) (*MPCResult, error) {
-	rep, err := Solve(inst, &Options{Model: ModelMPC, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return &MPCResult{
-		Result:    Result{Coloring: rep.Coloring, Rounds: rep.Rounds, MaxNodeLoad: rep.MaxNodeLoad, Trace: rep.Trace},
-		Machines:  rep.Machines,
-		Space:     rep.Space,
-		PeakSpace: rep.PeakSpace,
-	}, nil
-}
-
 // DefaultLowSpaceParams returns the Theorem 1.4 defaults (𝔰 = 𝔫^0.5).
 func DefaultLowSpaceParams() LowSpaceParams { return lowspace.DefaultParams() }
-
-// ColorDegPlus1LowSpace runs the low-space MPC algorithm (Theorem 1.4) on a
-// (deg+1)-list instance. params may be nil for defaults.
-//
-// Deprecated: use the problem-keyed Solve with Options.Model =
-// ModelLowSpace, which adds session reuse and the full Report.
-func ColorDegPlus1LowSpace(inst *Instance, params *LowSpaceParams) (Coloring, *LowSpaceTrace, error) {
-	p := DefaultLowSpaceParams()
-	if params != nil {
-		p = *params
-	}
-	col, tr, err := lowspace.Solve(inst, p)
-	if err != nil {
-		return nil, tr, err
-	}
-	if err := verify.ListColoring(inst, col); err != nil {
-		return nil, tr, fmt.Errorf("ccolor: internal verification failed: %w", err)
-	}
-	return col, tr, nil
-}
 
 // VerifyListColoring checks a coloring against an instance (completeness,
 // properness, palette membership).

@@ -1,9 +1,14 @@
 package ccolor_test
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"ccolor"
+	"ccolor/internal/graph"
 )
 
 func TestFacadeDeltaPlus1(t *testing.T) {
@@ -11,18 +16,18 @@ func TestFacadeDeltaPlus1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ccolor.ColorDeltaPlus1(g, nil)
+	rep, err := ccolor.Solve(ccolor.DeltaPlus1Instance(g), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds < 1 || !res.Coloring.Complete() {
-		t.Fatalf("bad result: rounds=%d", res.Rounds)
+	if rep.Rounds < 1 || !rep.Coloring.Complete() {
+		t.Fatalf("bad result: rounds=%d", rep.Rounds)
 	}
-	if res.MaxNodeLoad <= 0 {
+	if rep.MaxNodeLoad <= 0 {
 		t.Fatal("no load recorded")
 	}
-	if res.Trace.MaxRecursionDepth() > 9 {
-		t.Fatalf("depth %d exceeds 9", res.Trace.MaxRecursionDepth())
+	if rep.Trace.MaxRecursionDepth() > 9 {
+		t.Fatalf("depth %d exceeds 9", rep.Trace.MaxRecursionDepth())
 	}
 }
 
@@ -36,11 +41,11 @@ func TestFacadeListColoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := ccolor.DefaultParams()
-	res, err := ccolor.ColorList(inst, &p)
+	rep, err := ccolor.Solve(inst, &ccolor.Options{Params: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ccolor.VerifyListColoring(inst, res.Coloring); err != nil {
+	if err := ccolor.VerifyListColoring(inst, rep.Coloring); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,14 +56,14 @@ func TestFacadeMPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	inst := ccolor.DeltaPlus1Instance(g)
-	res, err := ccolor.ColorListMPC(inst, nil)
+	rep, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelMPC})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PeakSpace > res.Space {
-		t.Fatalf("peak %d exceeds machine space %d", res.PeakSpace, res.Space)
+	if mem := rep.Memory; mem.PeakMachineWords > mem.MachineSpace {
+		t.Fatalf("peak %d exceeds machine space %d", mem.PeakMachineWords, mem.MachineSpace)
 	}
-	if res.Machines < 1 {
+	if rep.Machines < 1 {
 		t.Fatal("no machines")
 	}
 }
@@ -70,11 +75,11 @@ func TestFacadeCompactMPC(t *testing.T) {
 	}
 	p := ccolor.DefaultParams()
 	p.CompactPalettes = true
-	res, err := ccolor.ColorListMPC(ccolor.DeltaPlus1Instance(g), &p)
+	rep, err := ccolor.Solve(ccolor.DeltaPlus1Instance(g), &ccolor.Options{Model: ccolor.ModelMPC, Params: &p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Coloring.Complete() {
+	if !rep.Coloring.Complete() {
 		t.Fatal("incomplete coloring")
 	}
 }
@@ -88,14 +93,76 @@ func TestFacadeLowSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, tr, err := ccolor.ColorDegPlus1LowSpace(inst, nil)
+	rep, err := ccolor.Solve(inst, &ccolor.Options{Model: ccolor.ModelLowSpace})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !col.Complete() {
+	if !rep.Coloring.Complete() {
 		t.Fatal("incomplete coloring")
 	}
-	if tr.PeakMachineWords > tr.SpaceWords {
+	if tr := rep.LowTrace; tr.PeakMachineWords > tr.SpaceWords {
 		t.Fatalf("peak %d exceeds 𝔰=%d", tr.PeakMachineWords, tr.SpaceWords)
+	}
+}
+
+// TestSolveRejectsNegativeColors hands Solve an instance built without the
+// validating constructors: a negative color must come back as an error on
+// every model, never as a panic in a backend's color-domain indexing.
+func TestSolveRejectsNegativeColors(t *testing.T) {
+	g, err := ccolor.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []ccolor.Color{ccolor.NoColor, -5} {
+		inst := &ccolor.Instance{G: g, Palettes: []ccolor.Palette{{c, 7, 8}, {c, 7, 9}, {c, 9, 10}}}
+		for _, model := range []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC, ccolor.ModelLowSpace} {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				_, err = ccolor.Solve(inst, &ccolor.Options{Model: model})
+				return err
+			}()
+			if !errors.Is(err, graph.ErrNegativeColor) {
+				t.Errorf("%s, color %d: err %v, want ErrNegativeColor", model, c, err)
+			}
+		}
+	}
+}
+
+// TestSolvePoolDoesNotLeakGoroutines drops the pooled facade's sessions to
+// the GC after every solve. A session that kept a worker pool running past
+// its solve would strand that pool's parked goroutines, so the count must
+// return to its baseline. Four procs make each pool spawn helpers.
+func TestSolvePoolDoesNotLeakGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g, err := ccolor.GNP(2000, 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := ccolor.DeltaPlus1Instance(g)
+	settle := func() {
+		runtime.GC()
+		runtime.GC() // the second cycle empties sync.Pool's victim cache
+	}
+	settle()
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		for _, model := range []ccolor.Model{ccolor.ModelCClique, ccolor.ModelMPC} {
+			if _, err := ccolor.Solve(inst, &ccolor.Options{Model: model}); err != nil {
+				t.Fatal(err)
+			}
+			settle()
+		}
+	}
+	// Stopped pools' goroutines exit asynchronously; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("goroutines grew from %d to %d over 20 pooled solves", base, got)
 	}
 }

@@ -27,11 +27,7 @@ import (
 	"strings"
 
 	"ccolor"
-	"ccolor/internal/cclique"
-	"ccolor/internal/core"
 	"ccolor/internal/graph"
-	"ccolor/internal/lowspace"
-	"ccolor/internal/mpc"
 	"ccolor/internal/scenario"
 	"ccolor/internal/verify"
 )
@@ -71,123 +67,33 @@ func run() error {
 	if *beta != 0 && prob != ccolor.ProblemRulingSet {
 		return fmt.Errorf("-beta applies only to -problem rulingset")
 	}
-	if *scenName != "" || *model == "all" || prob != ccolor.ProblemColoring {
-		// Registry/differential path. With no -scenario the instance comes
-		// from the legacy flags (-file or -family, -list), same as below.
-		var inst *graph.Instance
-		label := *family
-		if *scenName == "" {
-			g, err := legacyGraph(*file, *family, *n, *d, *p, *seed)
-			if err != nil {
-				return err
-			}
-			if *file != "" {
-				label = *file
-			}
-			if *list {
-				inst, err = graph.ListInstance(g, int64(g.N())*int64(g.N()), *seed)
-				if err != nil {
-					return err
-				}
-			} else {
-				inst = graph.DeltaPlus1Instance(g)
-			}
-		}
-		return runRegistry(*scenName, label, inst, *n, *seed, *model, prob, *beta, *dotOut, *verbose)
-	}
-
-	g, err := legacyGraph(*file, *family, *n, *d, *p, *seed)
-	if err != nil {
-		return err
-	}
-	if *file != "" {
-		*family = *file
-	}
-	fmt.Printf("graph: %s n=%d m=%d Δ=%d\n", *family, g.N(), g.M(), g.MaxDegree())
-
-	if *model == "lowspace" {
-		inst, err := graph.DegPlus1Instance(g, int64(g.N())*int64(g.N()), *seed)
-		if err != nil {
-			return err
-		}
-		col, tr, err := lowspace.Solve(inst, lowspace.DefaultParams())
-		if err != nil {
-			return err
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			return err
-		}
-		fmt.Printf("low-space MPC: machines=%d 𝔰=%d τ=%d levels=%d\n",
-			tr.Machines, tr.SpaceWords, tr.Tau, tr.Levels)
-		fmt.Printf("rounds: partition=%d MIS=%d (phases=%d) critical=%d\n",
-			tr.PartitionRounds, tr.MISRounds, tr.MISPhases, tr.CriticalRounds)
-		fmt.Printf("peak machine words=%d (budget %d); pool=%d bad=%d\n",
-			tr.PeakMachineWords, tr.SpaceWords, tr.PoolNodes, tr.BadNodes)
-		fmt.Printf("colors used: %d — verified (deg+1)-list coloring ✓\n", verify.ColorCount(col))
-		return maybeDOT(*dotOut, g, col)
-	}
-
+	// With no -scenario the instance comes from the -file or -family flags:
+	// deg+1 palettes for -model lowspace (Theorem 1.4's native problem),
+	// random Δ+1 lists with -list, {1..Δ+1} otherwise.
 	var inst *graph.Instance
-	if *list {
-		inst, err = graph.ListInstance(g, int64(g.N())*int64(g.N()), *seed)
+	label := *family
+	if *scenName == "" {
+		g, err := legacyGraph(*file, *family, *n, *d, *p, *seed)
 		if err != nil {
 			return err
 		}
-	} else {
-		inst = graph.DeltaPlus1Instance(g)
+		if *file != "" {
+			label = *file
+		}
+		universe := int64(g.N()) * int64(g.N())
+		switch {
+		case *model == string(ccolor.ModelLowSpace):
+			inst, err = graph.DegPlus1Instance(g, universe, *seed)
+		case *list:
+			inst, err = graph.ListInstance(g, universe, *seed)
+		default:
+			inst = graph.DeltaPlus1Instance(g)
+		}
+		if err != nil {
+			return err
+		}
 	}
-
-	params := core.DefaultParams()
-	switch *model {
-	case "clique":
-		nw := cclique.New(g.N())
-		col, tr, err := core.Solve(nw, nw.MsgWords(), inst, params)
-		if err != nil {
-			return err
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			return err
-		}
-		l := nw.Ledger()
-		fmt.Printf("CONGESTED CLIQUE: rounds=%d waves=%d depth=%d\n",
-			l.Rounds(), tr.Waves, tr.MaxRecursionDepth())
-		fmt.Printf("bandwidth: max send/node/round=%d max recv=%d (budget %d)\n",
-			l.MaxSendLoad(), l.MaxRecvLoad(), g.N()*nw.MsgWords())
-		fmt.Printf("colors used: %d — verified %s ✓\n", verify.ColorCount(col), kind(*list))
-		if *verbose {
-			fmt.Println(tr)
-			fmt.Println(l)
-		}
-		if err := maybeDOT(*dotOut, g, col); err != nil {
-			return err
-		}
-	case "mpc":
-		cl, err := mpc.NewLinear(g.N(), func(v int) int64 {
-			return int64(g.Degree(int32(v)) + len(inst.Palettes[v]) + 2)
-		}, 64)
-		if err != nil {
-			return err
-		}
-		col, tr, err := core.Solve(cl, 8, inst, params)
-		if err != nil {
-			return err
-		}
-		if err := verify.ListColoring(inst, col); err != nil {
-			return err
-		}
-		fmt.Printf("linear-space MPC: machines=%d 𝔰=%d peak=%d rounds=%d depth=%d\n",
-			cl.Machines(), cl.Space(), cl.PeakMachineSpace(), cl.Ledger().Rounds(), tr.MaxRecursionDepth())
-		fmt.Printf("colors used: %d — verified %s ✓\n", verify.ColorCount(col), kind(*list))
-		if *verbose {
-			fmt.Println(tr)
-		}
-		if err := maybeDOT(*dotOut, g, col); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown model %q", *model)
-	}
-	return nil
+	return runRegistry(*scenName, label, inst, *n, *seed, *model, prob, *beta, *dotOut, *verbose)
 }
 
 // legacyGraph builds the input graph from the pre-registry flags: an
@@ -204,11 +110,11 @@ func legacyGraph(path, family string, n, d int, p float64, seed uint64) (*graph.
 	return graph.ReadEdgeList(f)
 }
 
-// runRegistry is the scenario/differential/problem path: build one
-// canonical instance (from the registry when scenName is set; the caller
-// supplies it from the legacy flags otherwise) and solve the selected
-// registry problem on the selected backend(s) through the unified Solve
-// facade, finishing with the verifier's cross-model agreement report.
+// runRegistry builds one canonical instance (from the registry when
+// scenName is set; the caller supplies it from the legacy flags otherwise)
+// and solves the selected registry problem on the selected backend(s)
+// through the pooled Solve facade, finishing with the verifier's
+// cross-model agreement report.
 func runRegistry(scenName, label string, inst *graph.Instance, n int, seed uint64, model string, prob ccolor.Problem, beta int, dotOut string, verbose bool) error {
 	if scenName != "" {
 		spec, err := scenario.Lookup(scenName)
@@ -259,7 +165,7 @@ func runRegistry(scenName, label string, inst *graph.Instance, n int, seed uint6
 		fmt.Printf("%-9s rounds=%d words=%d max-load=%d colors=%d",
 			m, rep.Rounds, rep.WordsMoved, rep.MaxNodeLoad, rep.ColorsUsed)
 		if rep.Machines > 0 {
-			fmt.Printf(" machines=%d peak-space=%d", rep.Machines, rep.PeakSpace)
+			fmt.Printf(" machines=%d peak-space=%d", rep.Machines, rep.Memory.PeakMachineWords)
 		}
 		fmt.Println()
 		if verbose && rep.Trace != nil {
@@ -296,7 +202,7 @@ func runSetProblem(inst *graph.Instance, models []ccolor.Model, prob ccolor.Prob
 			fmt.Printf(" β=%d", rep.Beta)
 		}
 		if rep.Machines > 0 {
-			fmt.Printf(" machines=%d peak-space=%d", rep.Machines, rep.PeakSpace)
+			fmt.Printf(" machines=%d peak-space=%d", rep.Machines, rep.Memory.PeakMachineWords)
 		}
 		fmt.Println()
 		_ = verbose
@@ -345,13 +251,6 @@ func maybeDOT(path string, g *graph.Graph, col graph.Coloring) error {
 	}
 	fmt.Printf("wrote DOT to %s\n", path)
 	return nil
-}
-
-func kind(list bool) string {
-	if list {
-		return "(Δ+1)-list coloring"
-	}
-	return "(Δ+1)-coloring"
 }
 
 func makeGraph(family string, n, d int, p float64, seed uint64) (*graph.Graph, error) {

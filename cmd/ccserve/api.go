@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"ccolor"
+	"ccolor/internal/fabric"
 	"ccolor/internal/graph"
 	"ccolor/internal/scenario"
 	"ccolor/internal/server"
@@ -221,8 +222,7 @@ func (ps *PaletteSpec) Build(g *ccolor.Graph, model ccolor.Model) (*ccolor.Insta
 	return nil, fmt.Errorf("unknown palette kind %q (want delta+1, list, or deg+1)", kind)
 }
 
-// ColorRequest is the POST /v1/solve and /v1/color (and per-entry
-// /v1/batch) body.
+// ColorRequest is the POST /v1/solve (and per-entry /v1/batch) body.
 type ColorRequest struct {
 	// Model is "cclique" (default), "mpc", or "lowspace".
 	Model string `json:"model,omitempty"`
@@ -349,10 +349,10 @@ func buildColorResponse(res *server.Result, omitColoring bool) *ColorResponse {
 		Rounds:        rep.Rounds,
 		WordsMoved:    rep.WordsMoved,
 		MaxNodeLoad:   rep.MaxNodeLoad,
-		RoundsByPhase: rep.RoundsByPhase,
+		RoundsByPhase: roundsByPhase(rep.PhaseProfile),
 		Machines:      rep.Machines,
-		Space:         rep.Space,
-		PeakSpace:     rep.PeakSpace,
+		Space:         rep.Memory.MachineSpace,
+		PeakSpace:     rep.Memory.PeakMachineWords,
 	}
 	if !omitColoring {
 		out.Coloring = rep.Coloring
@@ -364,6 +364,19 @@ func buildColorResponse(res *server.Result, omitColoring bool) *ColorResponse {
 				}
 			}
 		}
+	}
+	return out
+}
+
+// roundsByPhase projects the report's phase profile onto the wire's
+// rounds_by_phase map (nil when no phase ran a round, so it is omitted).
+func roundsByPhase(prof map[string]fabric.PhaseStats) map[string]int {
+	if len(prof) == 0 {
+		return nil
+	}
+	out := make(map[string]int, len(prof))
+	for k, ps := range prof {
+		out[k] = ps.Rounds
 	}
 	return out
 }

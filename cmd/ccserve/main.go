@@ -9,7 +9,6 @@
 //
 //	POST /v1/solve           one job ("problem": coloring|mis|rulingset);
 //	                         {"async":true} returns 202 + job id
-//	POST /v1/color           legacy alias for /v1/solve
 //	POST /v1/batch           many jobs in one request
 //	GET  /v1/jobs/{id}       async job status / result
 //	GET  /v1/jobs/{id}/trace phase-attributed telemetry spans for the solve
@@ -31,7 +30,7 @@
 // Try it:
 //
 //	ccserve -addr :8080 &
-//	curl -s localhost:8080/v1/color -d '{"graph":{"kind":"gnp","n":256,"p":0.05,"seed":1}}'
+//	curl -s localhost:8080/v1/solve -d '{"graph":{"kind":"gnp","n":256,"p":0.05,"seed":1}}'
 //	curl -s localhost:8080/metrics/prom
 package main
 
@@ -155,8 +154,7 @@ func (h *handler) releaseBuild() { <-h.build }
 
 func (h *handler) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", h.color)
-	mux.HandleFunc("POST /v1/color", h.color) // legacy alias for /v1/solve
+	mux.HandleFunc("POST /v1/solve", h.solve)
 	mux.HandleFunc("POST /v1/batch", h.batch)
 	mux.HandleFunc("GET /v1/jobs/{id}", h.job)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", h.jobTrace)
@@ -210,7 +208,7 @@ func submitStatus(err error) int {
 	}
 }
 
-func (h *handler) color(w http.ResponseWriter, r *http.Request) {
+func (h *handler) solve(w http.ResponseWriter, r *http.Request) {
 	var req ColorRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))

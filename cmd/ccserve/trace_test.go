@@ -16,7 +16,7 @@ func TestTraceEndpointFlow(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 16})
 
 	// Fresh synchronous solve: the X-Trace-Id header addresses the trace.
-	rec := post(t, h, "/v1/color", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":21}}`)
+	rec := post(t, h, "/v1/solve", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":21}}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("color: %d %s", rec.Code, rec.Body)
 	}
@@ -25,7 +25,7 @@ func TestTraceEndpointFlow(t *testing.T) {
 	}
 
 	// Cache hit: no trace, the header stays off.
-	rec = post(t, h, "/v1/color", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":21}}`)
+	rec = post(t, h, "/v1/solve", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":21}}`)
 	if got := rec.Header().Get("X-CCServe-Cache"); got != "hit" {
 		t.Fatalf("cache header %q, want hit", got)
 	}
@@ -34,7 +34,7 @@ func TestTraceEndpointFlow(t *testing.T) {
 	}
 
 	// Async job: the trace is queryable at /v1/jobs/{id}/trace.
-	rec = post(t, h, "/v1/color", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":22},"async":true}`)
+	rec = post(t, h, "/v1/solve", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":22},"async":true}`)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("async submit: %d %s", rec.Code, rec.Body)
 	}
@@ -87,7 +87,7 @@ func TestTraceEndpointEvictionAndDisabled(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 1, QueueDepth: 16, TraceRetention: 1})
 	submit := func(seed int) string {
 		body := `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":` + string(rune('0'+seed)) + `},"async":true}`
-		rec := post(t, h, "/v1/color", body)
+		rec := post(t, h, "/v1/solve", body)
 		if rec.Code != http.StatusAccepted {
 			t.Fatalf("submit: %d %s", rec.Code, rec.Body)
 		}
@@ -124,7 +124,7 @@ func TestTraceEndpointEvictionAndDisabled(t *testing.T) {
 
 	// Negative retention disables tracing: 404, and no X-Trace-Id header.
 	h2, _ := newTestHandler(t, server.Config{Workers: 1, QueueDepth: 16, TraceRetention: -1})
-	rec := post(t, h2, "/v1/color", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":9}}`)
+	rec := post(t, h2, "/v1/solve", `{"graph":{"kind":"gnp","n":48,"p":0.1,"seed":9}}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("color: %d", rec.Code)
 	}
@@ -135,7 +135,7 @@ func TestTraceEndpointEvictionAndDisabled(t *testing.T) {
 
 func TestPrometheusEndpoints(t *testing.T) {
 	h, _ := newTestHandler(t, server.Config{Workers: 2, QueueDepth: 8})
-	if rec := post(t, h, "/v1/color", gnpBody); rec.Code != http.StatusOK {
+	if rec := post(t, h, "/v1/solve", gnpBody); rec.Code != http.StatusOK {
 		t.Fatalf("color: %d", rec.Code)
 	}
 

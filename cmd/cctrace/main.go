@@ -110,7 +110,7 @@ func printReport(m ccolor.Model, rep *ccolor.Report) {
 			rep.Rounds, rep.WordsMoved, rep.MaxNodeLoad, rep.ColorsUsed)
 	}
 	if rep.Machines > 0 {
-		fmt.Printf("machines=%d space=%d peakSpace=%d\n", rep.Machines, rep.Space, rep.PeakSpace)
+		fmt.Printf("machines=%d space=%d peakSpace=%d\n", rep.Machines, rep.Memory.MachineSpace, rep.Memory.PeakMachineWords)
 	}
 
 	if tr := rep.Trace; tr != nil {

@@ -152,9 +152,9 @@ func (ws *Workspace) assignedColor(v int32) (graph.Color, bool) {
 }
 
 // Release stops the workspace's lazily created candidate-table worker pool,
-// parking its goroutines. The owning session calls this when it retires
-// (engine.Session.Release wires it through); the workspace stays usable —
-// the next solve simply spawns a fresh pool on demand.
+// ending its goroutines. SolveWS calls it when every solve returns, as the
+// fabrics stop theirs, so a workspace dropped between solves strands
+// nothing; the next solve simply spawns a fresh pool on demand.
 func (ws *Workspace) Release() {
 	if ws.pool != nil {
 		ws.pool.Stop()
@@ -228,6 +228,7 @@ func SolveWS(f fabric.Fabric, pairWords int, inst *graph.Instance, p Params, ws 
 	if ws == nil {
 		ws = &Workspace{}
 	}
+	defer ws.Release()
 	ws.ensure(n)
 	s := &solver{
 		p:      p,

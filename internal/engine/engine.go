@@ -97,8 +97,7 @@ type Options struct {
 // aliases session state, so a Report outlives the session that produced it.
 type Report struct {
 	Model Model
-	// Problem is the registry problem this report answers (never empty;
-	// legacy coloring entry points report problem.Coloring).
+	// Problem is the registry problem this report answers (never empty).
 	Problem problem.Kind
 	// Coloring is the solution of coloring solves; nil for set problems.
 	Coloring graph.Coloring
@@ -119,19 +118,14 @@ type Report struct {
 	// MaxNodeLoad is the maximum words any worker sent or received in one
 	// round.
 	MaxNodeLoad int64
-	// RoundsByPhase attributes executed rounds to algorithm phases. For
-	// ModelLowSpace it merges the main cluster with every MIS pool cluster
-	// incarnation.
-	RoundsByPhase map[string]int
-	// PhaseProfile extends RoundsByPhase with per-phase words moved and
-	// peak per-round loads.
+	// PhaseProfile attributes executed rounds, words moved and peak
+	// per-round loads to algorithm phases. For ModelLowSpace it merges the
+	// main cluster with every MIS pool cluster incarnation.
 	PhaseProfile map[string]fabric.PhaseStats
 
-	// Machines / Space / PeakSpace are MPC-family telemetry (zero for
-	// ModelCClique).
-	Machines  int
-	Space     int64
-	PeakSpace int64
+	// Machines is the MPC-family machine count (zero for ModelCClique);
+	// the per-machine budget and measured peak are in Memory.
+	Machines int
 
 	// ColorsUsed is the number of distinct colors in the coloring,
 	// precomputed at solve time so serving a cached Report stays O(1).
@@ -263,10 +257,6 @@ func (s *Session) Release() {
 	if s.ls != nil {
 		s.ls.Release()
 	}
-	// The core workspace's candidate-table pool is owned here too: worker
-	// pools have no finalizer, so retiring a session must stop the pool
-	// explicitly or its parked goroutines outlive the session.
-	s.cw.Release()
 }
 
 // Solve runs the session's model on an instance and returns a verified
@@ -324,9 +314,9 @@ func (s *Session) runnerFor(kind problem.Kind) (sessionRunner, error) {
 	return r, nil
 }
 
-// coloringRunner is the coloring problem's solve surface: the original
-// per-model paths, unchanged — their ledgers and outputs stay byte-
-// identical to the pre-registry engine.
+// coloringRunner is the coloring problem's solve surface: ColorReduce
+// (internal/core) on the armed clique or linear-space backend, or the
+// sublinear-space solver's own session.
 type coloringRunner struct{ s *Session }
 
 func (r *coloringRunner) Kind() problem.Kind { return problem.Coloring }
@@ -341,131 +331,37 @@ func (r *coloringRunner) Solve(inst *graph.Instance, _ problem.Params) (*problem
 
 func (r *coloringRunner) run(inst *graph.Instance, o *Options) (*Report, error) {
 	s := r.s
-	switch s.model {
-	case ModelCClique:
-		return s.solveCClique(inst, o)
-	case ModelMPC:
-		return s.solveMPC(inst, o)
-	case ModelLowSpace:
+	if err := graph.CheckColors(inst.Palettes); err != nil {
+		return nil, fmt.Errorf("ccolor: %w", err)
+	}
+	if s.model == ModelLowSpace {
 		return s.solveLowSpace(inst, o)
 	}
-	return nil, fmt.Errorf("ccolor: unknown model %q", s.model)
-}
-
-func (s *Session) solveCClique(inst *graph.Instance, o *Options) (*Report, error) {
 	p := core.DefaultParams()
 	if o.Params != nil {
 		p = *o.Params
-	}
-	n := inst.G.N()
-	if s.nw == nil {
-		s.nw = cclique.New(n)
-	} else {
-		s.nw.Reset(n)
-	}
-	nw := s.nw
-	defer nw.Release() // return round arenas to the shared pool
-	led := nw.Ledger()
-	rec := s.arm(led, o)
-	col, tr, err := core.SolveWS(nw, nw.MsgWords(), inst, p, &s.cw)
-	if err != nil {
-		return nil, err
-	}
-	if err := verify.ListColoring(inst, col); err != nil {
-		return nil, fmt.Errorf("ccolor: internal verification failed: %w", err)
-	}
-	return &Report{
-		Model:         ModelCClique,
-		Problem:       problem.Coloring,
-		Coloring:      col,
-		ColorsUsed:    s.countColors(col),
-		Rounds:        led.Rounds(),
-		WordsMoved:    led.WordsMoved(),
-		MaxNodeLoad:   maxLoad(led.MaxSendLoad(), led.MaxRecvLoad()),
-		RoundsByPhase: led.ByPhase(),
-		PhaseProfile:  led.PhaseProfile(),
-		Memory: MemoryBudget{
-			InstanceWords:  graph.InstanceWordCount(inst),
-			WorkspaceWords: s.cw.MemoryWords(),
-			PeakRoundWords: led.PeakRoundWords(),
-		},
-		Trace:     tr,
-		Telemetry: rec.Finish(string(ModelCClique)),
-	}, nil
-}
-
-// arm attaches a fresh trace recorder to the solve's ledger when o.Trace is
-// set; it returns nil otherwise, which every downstream telemetry call
-// treats as "tracing off". The ledger was just Reset (or newly built), so
-// no detach bookkeeping is needed: the next solve's Reset drops it, and
-// Finish makes the recorder inert the moment the Report is assembled.
-func (s *Session) arm(led *fabric.Ledger, o *Options) *telemetry.Recorder {
-	if !o.Trace {
-		return nil
-	}
-	rec := telemetry.NewRecorder()
-	led.SetRecorder(rec)
-	return rec
-}
-
-func (s *Session) solveMPC(inst *graph.Instance, o *Options) (*Report, error) {
-	p := core.DefaultParams()
-	if o.Params != nil {
-		p = *o.Params
-	}
-	factor := o.MPCSpaceFactor
-	if factor <= 0 {
-		factor = 64
 	}
 	g := inst.G
-	weight := func(v int) int64 {
+	bk, err := s.arm(g, func(v int) int64 {
 		return int64(g.Degree(int32(v)) + len(inst.Palettes[v]) + 2)
-	}
-	if s.cl == nil {
-		cl, err := mpc.NewLinear(g.N(), weight, factor)
-		if err != nil {
-			return nil, err
-		}
-		s.cl = cl
-	} else if err := s.cl.ResetLinear(g.N(), weight, factor); err != nil {
+	}, o)
+	if err != nil {
 		return nil, err
 	}
-	cl := s.cl
-	defer cl.Release() // return round arenas to the shared pool
-	led := cl.Ledger()
-	rec := s.arm(led, o)
-	col, tr, err := core.SolveWS(cl, 8, inst, p, &s.cw)
+	defer bk.release() // return round arenas to the shared pool
+	col, tr, err := core.SolveWS(bk.f, bk.pairWords, inst, p, &s.cw)
 	if err != nil {
 		return nil, err
 	}
 	if err := verify.ListColoring(inst, col); err != nil {
 		return nil, fmt.Errorf("ccolor: internal verification failed: %w", err)
 	}
-	return &Report{
-		Model:         ModelMPC,
-		Problem:       problem.Coloring,
-		Coloring:      col,
-		ColorsUsed:    s.countColors(col),
-		Rounds:        led.Rounds(),
-		WordsMoved:    led.WordsMoved(),
-		MaxNodeLoad:   maxLoad(led.MaxSendLoad(), led.MaxRecvLoad()),
-		RoundsByPhase: led.ByPhase(),
-		PhaseProfile:  led.PhaseProfile(),
-		Machines:      cl.Machines(),
-		Space:         cl.Space(),
-		PeakSpace:     cl.PeakMachineSpace(),
-		Memory: MemoryBudget{
-			InstanceWords:    graph.InstanceWordCount(inst),
-			WorkspaceWords:   s.cw.MemoryWords(),
-			PeakRoundWords:   led.PeakRoundWords(),
-			MachineSpace:     cl.Space(),
-			PeakMachineWords: cl.PeakMachineSpace(),
-		},
-		Trace:     tr,
-		Telemetry: rec.Finish(string(ModelMPC)),
-	}, nil
+	return s.report(outcome{kind: problem.Coloring, inst: inst, col: col, tr: tr, bk: bk}), nil
 }
 
+// solveLowSpace runs the sublinear-space coloring solver, which keeps its
+// own session: its clusters come and go inside the solve, so its costs
+// reach the report through its trace instead of an armed backend.
 func (s *Session) solveLowSpace(inst *graph.Instance, o *Options) (*Report, error) {
 	p := lowspace.DefaultParams()
 	if o.LowSpace != nil {
@@ -490,41 +386,7 @@ func (s *Session) solveLowSpace(inst *graph.Instance, o *Options) (*Report, erro
 	if err := verify.ListColoring(inst, col); err != nil {
 		return nil, fmt.Errorf("ccolor: internal verification failed: %w", err)
 	}
-	return &Report{
-		Model:         ModelLowSpace,
-		Problem:       problem.Coloring,
-		Coloring:      col,
-		ColorsUsed:    s.countColors(col),
-		Rounds:        tr.CriticalRounds,
-		WordsMoved:    tr.WordsMoved,
-		MaxNodeLoad:   tr.PeakMachineWords,
-		RoundsByPhase: phaseRounds(tr.Phases),
-		PhaseProfile:  tr.Phases,
-		Machines:      tr.Machines,
-		Space:         tr.SpaceWords,
-		PeakSpace:     tr.PeakMachineWords,
-		Memory: MemoryBudget{
-			InstanceWords:    graph.InstanceWordCount(inst),
-			PeakRoundWords:   tr.PeakRoundWords,
-			MachineSpace:     tr.SpaceWords,
-			PeakMachineWords: tr.PeakMachineWords,
-			SublinearBound:   tr.SpaceWords,
-		},
-		LowTrace:  tr,
-		Telemetry: rec.Finish(string(ModelLowSpace)),
-	}, nil
-}
-
-// phaseRounds projects a phase profile down to the RoundsByPhase shape.
-func phaseRounds(prof map[string]fabric.PhaseStats) map[string]int {
-	if len(prof) == 0 {
-		return nil
-	}
-	out := make(map[string]int, len(prof))
-	for k, ps := range prof {
-		out[k] = ps.Rounds
-	}
-	return out
+	return s.report(outcome{kind: problem.Coloring, inst: inst, col: col, lt: tr, rec: rec}), nil
 }
 
 // countColors counts distinct colors by sorting a session-retained scratch
@@ -550,11 +412,4 @@ func (s *Session) countColors(c graph.Coloring) int {
 	}
 	s.colorScratch = scratch
 	return n
-}
-
-func maxLoad(send, recv int64) int64 {
-	if send > recv {
-		return send
-	}
-	return recv
 }

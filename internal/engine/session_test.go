@@ -27,12 +27,19 @@ func sameReport(t *testing.T, label string, got, want *engine.Report) {
 	if got.ColorsUsed != want.ColorsUsed {
 		t.Errorf("%s: ColorsUsed %d != %d", label, got.ColorsUsed, want.ColorsUsed)
 	}
-	if got.Machines != want.Machines || got.Space != want.Space || got.PeakSpace != want.PeakSpace {
-		t.Errorf("%s: machine telemetry (%d, %d, %d) != (%d, %d, %d)", label,
-			got.Machines, got.Space, got.PeakSpace, want.Machines, want.Space, want.PeakSpace)
+	if got.Machines != want.Machines {
+		t.Errorf("%s: Machines %d != %d", label, got.Machines, want.Machines)
 	}
-	if !maps.Equal(got.RoundsByPhase, want.RoundsByPhase) {
-		t.Errorf("%s: RoundsByPhase %v != %v", label, got.RoundsByPhase, want.RoundsByPhase)
+	// WorkspaceWords is the retained workspace's footprint, which a warm
+	// session legitimately keeps at an earlier, larger instance's size;
+	// every other budget field is a function of this solve alone.
+	gotMem, wantMem := got.Memory, want.Memory
+	gotMem.WorkspaceWords, wantMem.WorkspaceWords = 0, 0
+	if gotMem != wantMem {
+		t.Errorf("%s: Memory %+v != %+v", label, got.Memory, want.Memory)
+	}
+	if !maps.Equal(got.PhaseProfile, want.PhaseProfile) {
+		t.Errorf("%s: PhaseProfile %v != %v", label, got.PhaseProfile, want.PhaseProfile)
 	}
 }
 

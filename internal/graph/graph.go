@@ -195,14 +195,24 @@ func (c Coloring) Complete() bool {
 	return true
 }
 
-// Palette is a sorted list of distinct colors available to one node.
+// Palette is a sorted list of distinct non-negative colors available to
+// one node.
 type Palette []Color
 
-// NewPalette copies, sorts, and dedup-validates a color list.
+// ErrNegativeColor is returned for a palette holding a negative color: the
+// solvers index dense color domains by color, and NoColor (-1) marks an
+// uncolored node.
+var ErrNegativeColor = errors.New("graph: negative color")
+
+// NewPalette copies, sorts, and validates a color list (no duplicates, no
+// negative colors).
 func NewPalette(colors []Color) (Palette, error) {
 	p := make(Palette, len(colors))
 	copy(p, colors)
 	slices.Sort(p)
+	if len(p) > 0 && p[0] < 0 {
+		return nil, fmt.Errorf("%w %d in palette", ErrNegativeColor, p[0])
+	}
 	for i := 1; i < len(p); i++ {
 		if p[i] == p[i-1] {
 			return nil, fmt.Errorf("graph: duplicate color %d in palette", p[i])
@@ -256,11 +266,14 @@ type Instance struct {
 // the basic solvability invariant d(v) < p(v) (paper Cor. 3.3(iii)).
 var ErrPaletteTooSmall = errors.New("graph: palette size not greater than degree")
 
-// NewInstance validates that palettes align with the graph and that
-// p(v) > d(v) for every node v.
+// NewInstance validates that palettes align with the graph, hold no
+// negative color, and that p(v) > d(v) for every node v.
 func NewInstance(g *Graph, palettes []Palette) (*Instance, error) {
 	if len(palettes) != g.N() {
 		return nil, fmt.Errorf("graph: %d palettes for %d nodes", len(palettes), g.N())
+	}
+	if err := CheckColors(palettes); err != nil {
+		return nil, err
 	}
 	for v := 0; v < g.N(); v++ {
 		if len(palettes[v]) <= g.Degree(int32(v)) {
@@ -269,6 +282,17 @@ func NewInstance(g *Graph, palettes []Palette) (*Instance, error) {
 		}
 	}
 	return &Instance{G: g, Palettes: palettes}, nil
+}
+
+// CheckColors rejects a negative color in any palette. Palettes are
+// sorted, so only each one's first color is read.
+func CheckColors(palettes []Palette) error {
+	for v, p := range palettes {
+		if len(p) > 0 && p[0] < 0 {
+			return fmt.Errorf("node %d: %w %d", v, ErrNegativeColor, p[0])
+		}
+	}
+	return nil
 }
 
 // DeltaPlus1Instance builds the classic (Δ+1)-coloring instance: every node

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -326,5 +327,27 @@ func TestColoring(t *testing.T) {
 	c[0], c[1], c[2] = 1, 2, 1
 	if !c.Complete() {
 		t.Fatal("filled coloring incomplete")
+	}
+}
+
+// Negative colors are rejected at construction: every backend indexes
+// dense per-solve color domains by color, and NoColor (-1) marks an
+// uncolored node.
+func TestNegativeColorsRejected(t *testing.T) {
+	for _, c := range []Color{NoColor, -5} {
+		if _, err := NewPalette([]Color{7, c, 8}); !errors.Is(err, ErrNegativeColor) {
+			t.Errorf("NewPalette with color %d: err %v, want ErrNegativeColor", c, err)
+		}
+		g, err := FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pals := []Palette{{c, 7, 8}, {c, 7, 9}, {c, 9, 10}}
+		if _, err := NewInstance(g, pals); !errors.Is(err, ErrNegativeColor) {
+			t.Errorf("NewInstance with color %d: err %v, want ErrNegativeColor", c, err)
+		}
+	}
+	if _, err := NewPalette([]Color{0, 3}); err != nil {
+		t.Errorf("color 0 rejected: %v", err)
 	}
 }

@@ -97,9 +97,7 @@ func NewSolverSession(model Model) (*SolverSession, error) { return engine.NewSe
 // is a thin wrapper over a package-level session pool — repeated calls
 // reuse warm solver sessions (simulators, workspaces, derandomization
 // buffers) with results byte-identical to fresh-session solves. It is the
-// single entry point the serving layer (internal/server) drives; ColorList,
-// ColorListMPC, and ColorDegPlus1LowSpace remain as deprecated
-// coloring-only compatibility wrappers.
+// entry point for callers that do not pin a SolverSession.
 func Solve(inst *Instance, opts *Options) (*Report, error) {
 	return engine.Solve(inst, opts)
 }
